@@ -134,6 +134,20 @@ Tensor SliceRows(const Tensor& src, int64_t row_begin, int64_t rows) {
   return out;
 }
 
+// Which half of the weighted training loss records an autograd tape. Phase
+// 1 reads only the classifier's gradients and the finite-difference probes
+// only M_W's, so the other half is computed under NoGradGuard: same values,
+// no graph (DESIGN.md §8).
+enum class Taped { kClassifier, kWeighting };
+
+// Runs `forward`, recording its autograd tape only when `tape` is set.
+template <typename Forward>
+Variable RunForward(bool tape, const Forward& forward) {
+  if (tape) return forward();
+  NoGradGuard no_tape;
+  return forward();
+}
+
 // Distinct per-purpose seed streams of the streaming mode, split from the
 // run seed: candidate generation (indexed by global example draw), and
 // per-step training stochasticity (indexed by global step). Constants are
@@ -420,14 +434,18 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     model_->SetTraining(true);  // inference passes done
 
     // Builds the weighted training loss with the CURRENT model parameters;
-    // reused by the finite-difference passes. `step_weights` keeps the
-    // most recent normalized weight vector for the run-log step record
-    // (read right after the phase-1 call, before the FD passes re-run
-    // the lambda).
+    // reused by the finite-difference passes. Only the `taped` half records
+    // a graph. `step_weights` keeps the most recent normalized weight
+    // vector for the run-log step record (read right after the phase-1
+    // call, before the FD passes re-run the lambda).
     Tensor step_weights;
-    auto build_train_loss = [&]() -> Variable {
+    auto build_train_loss = [&](Taped taped) -> Variable {
       ROTOM_TRACE_SPAN("rotom.forward");
-      Variable logits = model_->ForwardLogitsEncoded(all_batch, rng);
+      // An untaped forward yields constants, so the ops built on it below
+      // record nothing either.
+      Variable logits = RunForward(taped == Taped::kClassifier, [&] {
+        return model_->ForwardLogitsEncoded(all_batch, rng);
+      });
       Variable ce;
       if (n_ssl == 0) {
         ce = ops::CrossEntropyPerExample(logits, kept_labels);
@@ -445,7 +463,9 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
       }
       Variable weights;
       if (options_.use_weighting) {
-        Variable w_raw = weighting_->WeightsEncoded(all_batch, l2, rng);
+        Variable w_raw = RunForward(taped == Taped::kWeighting, [&] {
+          return weighting_->WeightsEncoded(all_batch, l2, rng);
+        });
         weights = ops::NormalizeMeanOne(w_raw);
         if (runlog) step_weights = weights.value().Clone();
       } else {
@@ -457,26 +477,28 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
 
     // ---- Phase 1: update the target model (Algorithm 2 lines 5-7). ----
     opt_model.ZeroGrad();
-    filtering_->ZeroGrad();
-    weighting_->ZeroGrad();
-    Variable loss_train = build_train_loss();
+    float loss_value = 0.0f;
     {
-      ROTOM_TRACE_SPAN("rotom.backward");
-      loss_train.Backward();
-    }
+      const Variable loss_train = build_train_loss(Taped::kClassifier);
+      {
+        ROTOM_TRACE_SPAN("rotom.backward");
+        loss_train.Backward();
+      }
+      loss_value = loss_train.value()[0];
+    }  // the phase-1 tape is freed here, before the meta step
     const float grad_norm = nn::ClipGradNorm(model_params, 5.0f);
     const std::vector<Tensor> w_pre = CloneValues(model_params);
     const std::vector<Tensor> g_train = CloneGrads(model_params);
     opt_model.Step();
     const std::vector<Tensor> w_post = CloneValues(model_params);
-    result.loss_history.push_back(loss_train.value()[0]);
+    result.loss_history.push_back(loss_value);
     ++result.steps;
 
     if (runlog) {
       obs::RunLogStep record;
       record.step = result.steps;
       record.epoch = epoch;
-      record.loss = static_cast<double>(loss_train.value()[0]);
+      record.loss = static_cast<double>(loss_value);
       record.lr = static_cast<double>(options_.lr);
       record.grad_norm = static_cast<double>(grad_norm);
       record.keep_rate = static_cast<double>(kept_rows.size()) /
@@ -526,13 +548,17 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
       }
       model_->SetTraining(false);  // deterministic validation pass
       opt_model.ZeroGrad();
-      Variable loss_val = ops::CrossEntropyMean(
-          model_->ForwardLogitsEncoded(
-              text::AssembleEncodedBatch(*cache, val_texts), rng),
-          val_labels);
-      loss_val.Backward();
-      const float val_value = loss_val.value()[0];
-      const std::vector<Tensor> v_grad = CloneGrads(model_params);
+      float val_value = 0.0f;
+      std::vector<Tensor> v_grad;
+      {
+        const Variable loss_val = ops::CrossEntropyMean(
+            model_->ForwardLogitsEncoded(
+                text::AssembleEncodedBatch(*cache, val_texts), rng),
+            val_labels);
+        loss_val.Backward();
+        val_value = loss_val.value()[0];
+        v_grad = CloneGrads(model_params);
+      }  // the validation tape is freed once v_grad is cloned
 
       if (!baseline_ready) {
         reward_baseline = val_value;
@@ -564,16 +590,16 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
         const float eps = options_.epsilon / (v_norm + 1e-8f);
         const auto weight_params = weighting_->Parameters();
 
+        // Each probe reads only M_W's gradients: the classifier M± runs
+        // untaped and the probe's tape dies with the statement.
         SetValuesOffset(model_params, w_pre, v_grad, eps);
-        opt_model.ZeroGrad();
         weighting_->ZeroGrad();
-        build_train_loss().Backward();
+        build_train_loss(Taped::kWeighting).Backward();
         const std::vector<Tensor> g_plus = CloneGrads(weight_params);
 
         SetValuesOffset(model_params, w_pre, v_grad, -eps);
-        opt_model.ZeroGrad();
         weighting_->ZeroGrad();
-        build_train_loss().Backward();
+        build_train_loss(Taped::kWeighting).Backward();
         const std::vector<Tensor> g_minus = CloneGrads(weight_params);
 
         // grad(M_W) = -eta * (g+ - g-) / (2 eps)
@@ -585,7 +611,7 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
           diff.Scale(scale);
           // Deposit the estimated gradient into the parameter's grad.
           Variable p = weight_params[i];
-          ops::Sum(ops::Mul(p, Variable(diff, false))).Backward();
+          p.mutable_grad().AddScaled(diff, 1.0f);
         }
         nn::ClipGradNorm(weight_params, 5.0f);
         opt_weight.Step();

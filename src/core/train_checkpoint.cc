@@ -27,9 +27,18 @@ void WriteString(std::ofstream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-bool ReadString(std::ifstream& in, std::string* s) {
+// Bytes between the read position and the end of the file. Every length
+// read from the file is checked against it before anything is allocated,
+// so a corrupt length is an error rather than a huge allocation.
+uint64_t Remaining(std::ifstream& in, uint64_t file_size) {
+  const std::streamoff pos = in.tellg();
+  if (pos < 0 || static_cast<uint64_t>(pos) > file_size) return 0;
+  return file_size - static_cast<uint64_t>(pos);
+}
+
+bool ReadString(std::ifstream& in, uint64_t file_size, std::string* s) {
   uint64_t len = 0;
-  if (!ReadPod(in, &len)) return false;
+  if (!ReadPod(in, &len) || len > Remaining(in, file_size)) return false;
   s->assign(len, '\0');
   in.read(s->data(), static_cast<std::streamsize>(len));
   return static_cast<bool>(in);
@@ -122,8 +131,12 @@ Status TrainCheckpoint::Save(const std::string& path) const {
 }
 
 StatusOr<TrainCheckpoint> TrainCheckpoint::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::Error("cannot open " + path);
+  const std::streamoff end = in.tellg();
+  if (end < 0) return Status::Error("cannot size " + path);
+  const uint64_t file_size = static_cast<uint64_t>(end);
+  in.seekg(0);
   char magic[sizeof(kMagic)];
   in.read(magic, sizeof(magic));
   if (!in || std::string(magic, sizeof(magic)) !=
@@ -135,22 +148,36 @@ StatusOr<TrainCheckpoint> TrainCheckpoint::Load(const std::string& path) {
   if (!ReadPod(in, &num_scalars)) return Status::Error("truncated header");
   for (uint64_t i = 0; i < num_scalars; ++i) {
     std::string key, value;
-    if (!ReadString(in, &key) || !ReadString(in, &value)) {
+    if (!ReadString(in, file_size, &key) ||
+        !ReadString(in, file_size, &value)) {
       return Status::Error("truncated scalar in " + path);
     }
     ckpt.scalars_.emplace_back(std::move(key), std::move(value));
   }
   uint64_t num_tensors = 0;
   if (!ReadPod(in, &num_tensors)) return Status::Error("truncated header");
-  ckpt.tensors_.reserve(num_tensors);
   for (uint64_t i = 0; i < num_tensors; ++i) {
     std::string name;
-    if (!ReadString(in, &name)) return Status::Error("truncated tensor name");
+    if (!ReadString(in, file_size, &name))
+      return Status::Error("truncated tensor name");
     uint64_t ndim = 0;
-    if (!ReadPod(in, &ndim)) return Status::Error("truncated rank");
+    if (!ReadPod(in, &ndim) ||
+        ndim > Remaining(in, file_size) / sizeof(int64_t)) {
+      return Status::Error("truncated rank");
+    }
     std::vector<int64_t> shape(ndim);
     for (auto& d : shape)
       if (!ReadPod(in, &d)) return Status::Error("truncated shape");
+    // The element count may not exceed what the rest of the file holds;
+    // checking each factor against that bound also rules out overflow.
+    const uint64_t capacity = Remaining(in, file_size) / sizeof(float);
+    uint64_t numel = 1;
+    for (int64_t d : shape) {
+      if (d <= 0) return Status::Error("bad tensor shape in " + path);
+      if (static_cast<uint64_t>(d) > capacity / numel)
+        return Status::Error("truncated tensor data in " + path);
+      numel *= static_cast<uint64_t>(d);
+    }
     Tensor t(shape);
     in.read(reinterpret_cast<char*>(t.data()),
             static_cast<std::streamsize>(sizeof(float) * t.size()));

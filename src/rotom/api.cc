@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/train_checkpoint.h"
+
 namespace rotom {
 namespace api {
 
@@ -85,6 +87,12 @@ StatusOr<TrainReport> Train(const TrainSpec& spec) {
     streaming_options.valid_every = stream_spec.valid_every;
     streaming_options.checkpoint_path = stream_spec.checkpoint_path;
     streaming_options.resume_from = stream_spec.resume_from;
+    // The checkpoint is the caller's input: a missing, truncated or corrupt
+    // file is reported here instead of aborting inside the trainer.
+    if (!stream_spec.resume_from.empty()) {
+      auto checkpoint = core::TrainCheckpoint::Load(stream_spec.resume_from);
+      if (!checkpoint.ok()) return checkpoint.status();
+    }
   }
 
   eval::TaskContext context(std::move(dataset), std::move(options));

@@ -100,8 +100,9 @@ struct TrainReport {
 /// masked-LM pre-training, the selected method's fine-tuning loop), and
 /// packages the result. Returns an error Status for unusable specs — unset
 /// or doubly-set data source, unreadable path, empty mixture, non-positive
-/// mixture weight, a stream without a step budget, empty train set, fewer
-/// than two classes, labels outside [0, num_classes) — instead of
+/// mixture weight, a stream without a step budget, a missing, truncated or
+/// corrupt `stream.resume_from` checkpoint, empty train set, fewer than two
+/// classes, labels outside [0, num_classes) — instead of
 /// CHECK-aborting deep in the trainer. An empty valid set falls back to
 /// validating on train (the paper's labeling-budget-saving setup for
 /// EM/EDT).

@@ -1,6 +1,8 @@
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -179,6 +181,121 @@ TEST(WeightingModelTest, GradientsFlowToLm) {
   int with_grad = 0;
   for (const auto& p : weighting.Parameters()) with_grad += p.has_grad();
   EXPECT_GT(with_grad, 0);
+}
+
+// ---- Tape-equivalence of the trainer's weighted loss -------------------
+// RotomTrainer builds Dot(CE(M), M_W weights) with a tape on only one half:
+// phase 1 reads the classifier's gradients, the finite-difference probes
+// read M_W's. These tests pin that leaving the other half untaped changes no
+// bit of the gradients that are read.
+
+enum class Untaped { kNothing, kWeighting, kClassifier };
+
+struct ParamGrads {
+  std::vector<bool> present;
+  std::vector<Tensor> values;
+};
+
+ParamGrads GradsOf(const std::vector<Variable>& params) {
+  ParamGrads out;
+  for (const auto& p : params) {
+    out.present.push_back(p.has_grad());
+    out.values.push_back(p.has_grad() ? p.grad().Clone() : Tensor());
+  }
+  return out;
+}
+
+void ExpectBitIdentical(const ParamGrads& expected, const ParamGrads& actual,
+                        const char* label) {
+  ASSERT_EQ(expected.values.size(), actual.values.size()) << label;
+  for (size_t i = 0; i < expected.values.size(); ++i) {
+    ASSERT_TRUE(expected.present[i]) << label << " param " << i;
+    ASSERT_TRUE(actual.present[i]) << label << " param " << i;
+    const Tensor& e = expected.values[i];
+    const Tensor& a = actual.values[i];
+    ASSERT_EQ(e.shape(), a.shape()) << label << " param " << i;
+    EXPECT_EQ(std::memcmp(e.data(), a.data(), sizeof(float) * e.size()), 0)
+        << label << " param " << i;
+  }
+}
+
+void ExpectNoGrads(const ParamGrads& grads, const char* label) {
+  for (size_t i = 0; i < grads.present.size(); ++i)
+    EXPECT_FALSE(grads.present[i]) << label << " param " << i;
+}
+
+struct WeightedLossGrads {
+  ParamGrads classifier;
+  ParamGrads weighting;
+};
+
+// Fresh, identically seeded models per call, so "no gradient" is observable
+// as has_grad() == false. `soft` switches from the hard-label CE to the SSL
+// soft-target CE.
+WeightedLossGrads BackwardWeightedLoss(Untaped untaped, bool classifier_training,
+                                       bool soft) {
+  Rng init(21);
+  auto vocab = TaskVocab();
+  models::ClassifierConfig config = TinyConfig();
+  config.dropout = 0.1f;  // phase 1 runs the classifier with dropout
+  models::TransformerClassifier model(config, vocab, init);
+  WeightingModel weighting(config, vocab, init);
+  model.SetTraining(classifier_training);
+  weighting.SetTraining(false);
+
+  const text::EncodedBatch batch = text::EncodeBatchForClassifier(
+      *vocab,
+      {"the movie was great", "a boring movie", "really awful product",
+       "good good movie"},
+      config.max_len);
+  const std::vector<int64_t> labels = {1, 0, 0, 1};
+  const Tensor l2 = Tensor::FromVector({4}, {0.3f, 0.1f, 0.7f, 0.2f});
+  const Tensor soft_targets = Tensor::FromVector(
+      {4, 2}, {0.0f, 1.0f, 1.0f, 0.0f, 0.8f, 0.2f, 0.35f, 0.65f});
+
+  Rng rng(3);
+  Variable ce;
+  {
+    std::optional<NoGradGuard> guard;
+    if (untaped == Untaped::kClassifier) guard.emplace();
+    Variable logits = model.ForwardLogitsEncoded(batch, rng);
+    ce = soft ? ops::SoftCrossEntropyPerExample(logits, soft_targets)
+              : ops::CrossEntropyPerExample(logits, labels);
+  }
+  Variable weights;
+  {
+    std::optional<NoGradGuard> guard;
+    if (untaped == Untaped::kWeighting) guard.emplace();
+    weights = ops::NormalizeMeanOne(weighting.WeightsEncoded(batch, l2, rng));
+  }
+  ops::Scale(ops::Dot(ce, weights), 0.25f).Backward();
+  return {GradsOf(model.Parameters()), GradsOf(weighting.Parameters())};
+}
+
+TEST(TapeEquivalenceTest, ClassifierGradsIgnoreUntapedWeighting) {
+  for (bool soft : {false, true}) {
+    const char* label = soft ? "soft CE" : "hard CE";
+    const auto full = BackwardWeightedLoss(Untaped::kNothing,
+                                           /*classifier_training=*/true, soft);
+    const auto phase1 = BackwardWeightedLoss(Untaped::kWeighting,
+                                             /*classifier_training=*/true, soft);
+    ExpectBitIdentical(full.classifier, phase1.classifier, label);
+    ExpectNoGrads(phase1.weighting, label);
+  }
+}
+
+TEST(TapeEquivalenceTest, WeightingGradsIgnoreUntapedClassifier) {
+  for (bool soft : {false, true}) {
+    const char* label = soft ? "soft CE" : "hard CE";
+    const auto full = BackwardWeightedLoss(Untaped::kNothing,
+                                           /*classifier_training=*/false, soft);
+    const auto probe = BackwardWeightedLoss(Untaped::kClassifier,
+                                            /*classifier_training=*/false, soft);
+    // Every M_W parameter is reached, which the trainer's gradient deposit
+    // relies on.
+    ExpectBitIdentical(full.weighting, probe.weighting, label);
+    ExpectNoGrads(probe.classifier, label);
+  }
 }
 
 TEST(SharpenTest, V1SharpensTowardArgmax) {

@@ -17,6 +17,7 @@
 
 #include "core/finetune.h"
 #include "core/rotom_trainer.h"
+#include "core/train_checkpoint.h"
 #include "data/loader.h"
 #include "data/source.h"
 #include "rotom/api.h"
@@ -581,6 +582,80 @@ TEST(ApiTrainSpecTest, RejectsAmbiguousOrMissingSource) {
 
   api::TrainSpec neither;
   EXPECT_FALSE(api::Train(neither).ok());
+}
+
+// A streaming spec resuming from `resume_from`, over a small CSV file.
+api::TrainSpec ResumingStreamSpec(const std::string& resume_from) {
+  const std::string csv = TempPath("api_resume.csv");
+  WriteFile(csv,
+            "text,label\ngood movie,pos\nbad movie,neg\ngreat film,pos\n"
+            "awful film,neg\n");
+  data::DataSource::FileSpec file;
+  file.path = csv;
+  data::DataSource::StreamSpec stream_spec;
+  stream_spec.max_steps = 4;
+  stream_spec.resume_from = resume_from;
+  api::TrainSpec spec;
+  spec.source = data::DataSource::Stream({file}, stream_spec);
+  return spec;
+}
+
+TEST(ApiTrainSpecTest, MissingResumeCheckpointIsAnError) {
+  const std::string missing = TempPath("api_resume_missing.ckpt");
+  std::remove(missing.c_str());
+  auto report = api::Train(ResumingStreamSpec(missing));
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("cannot open"), std::string::npos)
+      << report.status().message();
+}
+
+TEST(ApiTrainSpecTest, TruncatedResumeCheckpointIsAnError) {
+  const std::string path = TempPath("api_resume_truncated.ckpt");
+  core::TrainCheckpoint ckpt;
+  ckpt.SetInt("step", 3);
+  ckpt.tensors().emplace_back("model.w", Tensor::Full({4, 8}, 0.5f));
+  ASSERT_TRUE(ckpt.Save(path).ok());
+  ASSERT_TRUE(core::TrainCheckpoint::Load(path).ok());
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 16));
+  }
+  auto report = api::Train(ResumingStreamSpec(path));
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("truncated"), std::string::npos)
+      << report.status().message();
+}
+
+TEST(TrainCheckpointTest, CorruptLengthsAreErrorsNotAllocations) {
+  const std::string path = TempPath("corrupt_lengths.ckpt");
+  auto write = [&](uint64_t num_scalars, uint64_t key_len) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write("RTCK1", 6);
+    out.write(reinterpret_cast<const char*>(&num_scalars), sizeof(uint64_t));
+    out.write(reinterpret_cast<const char*>(&key_len), sizeof(uint64_t));
+  };
+  write(1, uint64_t{1} << 60);  // scalar key "longer" than the file
+  EXPECT_FALSE(core::TrainCheckpoint::Load(path).ok());
+
+  // A tensor with an absurd element count and a non-positive dimension.
+  for (int64_t dim : {int64_t{1} << 40, int64_t{0}, int64_t{-3}}) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const uint64_t zero = 0, one = 1, name_len = 1;
+    out.write("RTCK1", 6);
+    out.write(reinterpret_cast<const char*>(&zero), sizeof(uint64_t));
+    out.write(reinterpret_cast<const char*>(&one), sizeof(uint64_t));
+    out.write(reinterpret_cast<const char*>(&name_len), sizeof(uint64_t));
+    out.write("w", 1);
+    out.write(reinterpret_cast<const char*>(&one), sizeof(uint64_t));
+    out.write(reinterpret_cast<const char*>(&dim), sizeof(int64_t));
+    out.close();
+    EXPECT_FALSE(core::TrainCheckpoint::Load(path).ok()) << "dim " << dim;
+  }
 }
 
 }  // namespace
