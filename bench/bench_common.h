@@ -114,6 +114,40 @@ inline CellStats RunMean(eval::TaskContext& context, eval::Method method) {
   return stats;
 }
 
+// ---- Serving totals ----
+
+/// The per-tenant serving instruments (`serve.tenant.<tenant>.*`, written
+/// by serve::TenantServer) summed over every tenant in a metrics snapshot:
+/// the one request base that every serving ratio divides over.
+struct ServeTenantTotals {
+  double requests = 0.0;        // accepted submissions
+  double rejected = 0.0;        // shed at admission
+  uint64_t latency_count = 0;   // completed requests
+  double latency_sum_us = 0.0;  // their end-to-end latency
+};
+
+inline ServeTenantTotals SumServeTenants(const obs::SnapshotData& snapshot) {
+  const std::string prefix = "serve.tenant.";
+  auto is = [&](const std::string& name, const std::string& suffix) {
+    return name.size() > prefix.size() + suffix.size() &&
+           name.compare(0, prefix.size(), prefix) == 0 &&
+           name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+               0;
+  };
+  ServeTenantTotals totals;
+  for (const obs::MetricSnapshot& m : snapshot.metrics) {
+    if (is(m.name, ".requests")) {
+      totals.requests += static_cast<double>(m.count);
+    } else if (is(m.name, ".rejected")) {
+      totals.rejected += static_cast<double>(m.count);
+    } else if (is(m.name, ".latency_us")) {
+      totals.latency_count += m.count;
+      totals.latency_sum_us += static_cast<double>(m.sum);
+    }
+  }
+  return totals;
+}
+
 // ---- Machine-readable output (BENCH_*.json) ----
 
 /// Append-only writer for the bench result files. Since schema v2 the file
@@ -191,17 +225,20 @@ class JsonWriter {
     if (reused + allocated > 0.0)
       extras.emplace_back("buffer_pool.reuse_rate",
                           reused / (reused + allocated));
-    // Serving ratios: fraction of arrivals shed at admission, and the share
-    // of end-to-end latency spent waiting in the queue (queue_wait and
-    // latency histogram sums are both microseconds over the same requests).
-    const double served = value_of("serve.requests");
-    const double rejected = value_of("serve.rejected");
-    if (served + rejected > 0.0)
-      extras.emplace_back("serve.reject_rate", rejected / (served + rejected));
-    const double queue_sum = sum_of("serve.queue_wait_us");
-    const double latency_sum = sum_of("serve.latency_us");
-    if (latency_sum > 0.0)
-      extras.emplace_back("serve.queue_wait_share", queue_sum / latency_sum);
+    // Serving ratios over the per-tenant instruments summed across every
+    // tenant: fraction of arrivals shed at admission, and the share of
+    // end-to-end latency spent waiting in the queue (serve.queue_wait_us is
+    // recorded once per completed request of any tenant, so its sum and the
+    // summed tenant latency_us sums are microseconds over the same requests).
+    const ServeTenantTotals tenants = SumServeTenants(snapshot);
+    if (tenants.requests + tenants.rejected > 0.0)
+      extras.emplace_back("serve.reject_rate",
+                          tenants.rejected /
+                              (tenants.requests + tenants.rejected));
+    if (tenants.latency_sum_us > 0.0)
+      extras.emplace_back("serve.queue_wait_share",
+                          sum_of("serve.queue_wait_us") /
+                              tenants.latency_sum_us);
     metrics_json_ = obs::SnapshotJson(snapshot, extras);
   }
 

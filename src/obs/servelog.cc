@@ -124,8 +124,6 @@ void ServeLog::LogManifest(const ServeManifest& manifest) {
   line.Add("sample", sample_);
   if (!manifest.server.empty())
     line.Add("server", std::string_view(manifest.server));
-  if (!manifest.precision.empty())
-    line.Add("precision", std::string_view(manifest.precision));
   if (manifest.tenants >= 0) line.Add("tenants", manifest.tenants);
   if (manifest.max_batch >= 0) line.Add("max_batch", manifest.max_batch);
   if (manifest.max_delay_us >= 0)

@@ -55,11 +55,13 @@ struct ServeLogOptions {
 };
 
 /// The serving-shape fields of the `manifest` event. Negative integers and
-/// empty strings mean "not applicable for this server kind" and the field
-/// is omitted (e.g. BatchingServer has no tenants or SLO policy).
+/// empty strings mean "not set" and the field is omitted.
 struct ServeManifest {
-  std::string server;          // "batching" | "tenant"
-  std::string precision;       // "int8" | "f32" (session->quantized())
+  // "tenant" for every log written today. Logs from before the single-model
+  // server was folded into TenantServer say "batching" (and carry a
+  // `precision` field and tenant-less request events); readers such as
+  // `rotom_inspect serve` still accept them.
+  std::string server;
   int64_t tenants = -1;
   int64_t max_batch = -1;
   int64_t max_delay_us = -1;
@@ -97,7 +99,7 @@ class ServeLog {
 
   /// Appends one sampled `request` lifecycle event: the queue/compute/total
   /// latency decomposition, the batch the request rode in, and the label it
-  /// was answered with. Empty `tenant` (BatchingServer) omits the field.
+  /// was answered with. Empty `tenant` omits the field.
   void LogRequest(uint64_t id, std::string_view tenant, int64_t queue_us,
                   int64_t compute_us, int64_t total_us, int64_t batch_size,
                   int64_t label);

@@ -47,25 +47,10 @@ Status ValidateDataset(const data::TaskDataset& dataset, bool streaming) {
 }  // namespace
 
 StatusOr<TrainReport> Train(const TrainSpec& spec) {
-  // Resolve the data input: the new `source` spec, or the deprecated
-  // in-memory `dataset` field treated as DataSource::Inline. A dataset with
-  // any populated split counts as "set" so e.g. an accidentally empty train
-  // split still reports "train is empty" rather than "no data source".
-  const bool has_legacy =
-      !spec.dataset.train.empty() || !spec.dataset.valid.empty() ||
-      !spec.dataset.test.empty() || !spec.dataset.unlabeled.empty();
-  const bool has_source = spec.source.kind != data::DataSource::Kind::kNone;
-  if (has_legacy && has_source) {
-    return Status::Error(
-        "TrainSpec: set either `source` or the deprecated `dataset`, not "
-        "both");
-  }
-  if (!has_legacy && !has_source) {
+  if (spec.source.kind == data::DataSource::Kind::kNone) {
     return Status::Error("TrainSpec: no data source (set TrainSpec.source)");
   }
-
-  auto opened = data::OpenSource(
-      has_source ? spec.source : data::DataSource::Inline(spec.dataset));
+  auto opened = data::OpenSource(spec.source);
   if (!opened.ok()) return opened.status();
 
   const bool streaming = opened.value().stream != nullptr;

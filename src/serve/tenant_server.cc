@@ -30,8 +30,8 @@ obs::Histogram& TenantHistogram(const std::string& tenant,
   return obs::GetHistogram("serve.tenant." + tenant + "." + suffix);
 }
 
-// Global queue/compute decomposition, shared with BatchingServer (same
-// metric names; the registry hands back the same instruments).
+// Global queue/compute decomposition and coalescing width, summed over
+// every tenant and every server in the process.
 obs::Histogram& QueueWaitHistogram() {
   static obs::Histogram& h = obs::GetHistogram("serve.queue_wait_us");
   return h;
@@ -39,6 +39,11 @@ obs::Histogram& QueueWaitHistogram() {
 
 obs::Histogram& ComputeHistogram() {
   static obs::Histogram& h = obs::GetHistogram("serve.compute_us");
+  return h;
+}
+
+obs::Histogram& BatchSizeHistogram() {
+  static obs::Histogram& h = obs::GetHistogram("serve.batch_size");
   return h;
 }
 
@@ -318,6 +323,7 @@ void TenantServer::WorkerLoop() {
     const auto done = std::chrono::steady_clock::now();
     const int64_t compute_us = ElapsedUs(claimed, done);
     ComputeHistogram().Record(static_cast<uint64_t>(compute_us));
+    BatchSizeHistogram().Record(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       const int64_t queue_us = ElapsedUs(batch[i].enqueued, claimed);
       const int64_t total_us = ElapsedUs(batch[i].enqueued, done);

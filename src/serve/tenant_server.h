@@ -22,13 +22,15 @@
 namespace rotom {
 namespace serve {
 
-/// Multi-tenant micro-batching front end over a ModelRegistry: the serving
-/// tier of DESIGN.md §13. Each tenant (a registry model name) gets its own
-/// bounded request queue; one worker thread walks the tenants with a
-/// deterministic round-robin cursor, closes at most one batch per ready
-/// tenant per turn, pins that tenant's active session for exactly the
-/// duration of the fused forward (ModelRegistry::Acquire), and delivers
-/// results through the futures returned at submit time. Because the pin is
+/// Micro-batching front end over a ModelRegistry: the one serving tier of
+/// DESIGN.md §13. A single model is served as a one-tenant server (publish
+/// it under one name, pass that name as the only tenant). Each tenant (a
+/// registry model name) gets its own bounded request queue; one worker
+/// thread walks the tenants with a deterministic round-robin cursor, closes
+/// at most one batch per ready tenant per turn, pins that tenant's active
+/// session for exactly the duration of the fused forward
+/// (ModelRegistry::Acquire), and delivers results through the futures
+/// returned at submit time. Because the pin is
 /// per batch, a hot-swap in the registry takes effect at the next batch
 /// boundary — no request ever sees a torn model, and no queue has to drain
 /// for a swap to land.
@@ -36,14 +38,17 @@ namespace serve {
 /// Admission control: the per-tenant queue holds at most `queue_capacity`
 /// requests, and a Submit() against a full queue fails *immediately* with an
 /// error Status instead of blocking — one tenant's backlog sheds its own
-/// load rather than stalling the others (contrast BatchingServer, whose
-/// single-tenant Submit blocks for backpressure).
+/// load rather than stalling the others.
 ///
 /// Fairness: the round-robin cursor advances past each served tenant, so a
 /// backlogged tenant gets exactly one batch per turn and can never starve a
 /// lightly loaded one; with equal demand, service order is deterministic.
-/// Batch closing mirrors BatchingServer: a tenant's batch is ready once
-/// `max_batch` of its requests wait or its oldest has waited `max_delay_us`.
+///
+/// Coalescing policy: a tenant's batch is ready once `max_batch` of its
+/// requests wait or its oldest has waited `max_delay_us`. Measuring the
+/// delay from enqueue time (not from when the worker goes idle) means a
+/// backlogged queue drains at full batch size with no artificial waiting,
+/// while a lone request under light load still leaves within max_delay_us.
 ///
 /// Shutdown() (also run by the destructor) rejects new submissions, drains
 /// every queued request through its tenant's model, and joins the worker;
@@ -59,8 +64,13 @@ namespace serve {
 /// state is touched only by the worker thread, so it costs the submit path
 /// nothing.
 ///
-/// Request ids share one dense per-server sequence with the same lifecycle
-/// semantics as BatchingServer (see server.h); within a tenant, servelog
+/// Request lifecycle: Submit() assigns every accepted request a dense,
+/// monotonically increasing id (1, 2, 3, ...) from one per-server sequence
+/// under the queue lock; the id rides the request through queue ->
+/// batch-coalesce -> forward -> reply and keys the sampled servelog
+/// `request` events. Each request's latency is decomposed as queue_us
+/// (enqueue -> batch claim) + compute_us (the fused forward) within
+/// total_us (enqueue -> result delivered). Within a tenant, servelog
 /// `request` ids are strictly increasing (round-robin interleaves the
 /// tenants' subsequences in the file).
 ///
@@ -68,9 +78,11 @@ namespace serve {
 /// metrics — `requests`, `rejected`, `batches`, `slo_violations` counters,
 /// `queue_depth` and `budget_remaining` gauges, `latency_us` histogram —
 /// plus the global `serve.queue_wait_us`/`serve.compute_us` decomposition
-/// histograms, a `serve.tenant.batch` span around each fused forward, and
+/// histograms and the `serve.batch_size` histogram (one record per fused
+/// forward), a `serve.tenant.batch` span around each fused forward, and
 /// `serve.slow_request` spans above the slow threshold. The optional
-/// obs_http listener and serve log mirror BatchingServer's.
+/// obs_http listener serves live /metrics scrapes and the optional serve
+/// log (obs/servelog.h) records the flight-recorder stream.
 class TenantServer {
  public:
   struct Options {

@@ -26,15 +26,18 @@ namespace {
 // Smoke-scale but not degenerate: enough labeled pairs and epochs for the
 // model to move off its random initialization, so the F1 comparison runs at
 // a realistic operating point instead of on coin-flip logits.
-api::TrainSpec ParitySpec() {
+data::TaskDataset ParityDataset() {
   data::EmOptions ds_options;
   ds_options.budget = 200;
   ds_options.test_size = 128;
   ds_options.unlabeled_size = 64;
   ds_options.seed = 7;
+  return data::MakeEmDataset("dblp_acm", ds_options);
+}
 
+api::TrainSpec ParitySpec(const data::TaskDataset& dataset) {
   api::TrainSpec spec;
-  spec.dataset = data::MakeEmDataset("dblp_acm", ds_options);
+  spec.source = data::DataSource::Inline(dataset);
   spec.method = eval::Method::kBaseline;  // fastest trainer; serving is the DUT
   spec.options.classifier.max_len = 40;
   spec.options.classifier.dim = 32;
@@ -67,8 +70,8 @@ double SessionF1(const serve::InferenceSession& session,
 }
 
 TEST(QuantParityTest, Int8F1WithinHalfPointOfFloatOnDblpAcm) {
-  const api::TrainSpec spec = ParitySpec();
-  auto report = api::Train(spec);
+  const data::TaskDataset dataset = ParityDataset();
+  auto report = api::Train(ParitySpec(dataset));
   ASSERT_TRUE(report.ok()) << report.status().message();
 
   auto quantized = serve::QuantizeSnapshot(report.value().snapshot);
@@ -82,8 +85,8 @@ TEST(QuantParityTest, Int8F1WithinHalfPointOfFloatOnDblpAcm) {
   ASSERT_FALSE(float_session.value()->quantized());
   ASSERT_TRUE(int8_session.value()->quantized());
 
-  const double f32_f1 = SessionF1(*float_session.value(), spec.dataset.test);
-  const double int8_f1 = SessionF1(*int8_session.value(), spec.dataset.test);
+  const double f32_f1 = SessionF1(*float_session.value(), dataset.test);
+  const double int8_f1 = SessionF1(*int8_session.value(), dataset.test);
 
   std::printf("dblp_acm smoke F1: float %.2f, int8 %.2f, delta %.3f\n", f32_f1,
               int8_f1, std::abs(f32_f1 - int8_f1));

@@ -1,8 +1,9 @@
 // Tests for the serve subsystem (DESIGN.md §10): snapshot save/load
 // round-trip fidelity, Status-based rejection of malformed snapshot files,
-// the thread-safe InferenceSession, the micro-batching BatchingServer
-// (including the 8-thread concurrent load shape run under TSan by
-// scripts/check.sh), and the rotom::api facade's spec validation.
+// the thread-safe InferenceSession, the lifecycle of a one-tenant
+// TenantServer — the single-model serving shape — (including the 8-thread
+// concurrent load shape run under TSan by scripts/check.sh), and the
+// rotom::api facade's spec validation.
 
 #include <cstdint>
 #include <cstdio>
@@ -22,10 +23,11 @@
 namespace rotom {
 namespace {
 
-using serve::BatchingServer;
 using serve::InferenceSession;
+using serve::ModelRegistry;
 using serve::Prediction;
 using serve::Snapshot;
+using serve::TenantServer;
 
 std::shared_ptr<text::Vocabulary> ServeVocab() {
   auto vocab = std::make_shared<text::Vocabulary>();
@@ -84,6 +86,24 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
 }
+
+// A registry holding one published model and a TenantServer serving it —
+// how a single model is served.
+constexpr char kTenant[] = "model";
+
+struct OneTenantServer {
+  OneTenantServer(const Snapshot& snapshot,
+                  const TenantServer::Options& options) {
+    EXPECT_TRUE(registry.Publish(kTenant, snapshot).ok());
+    server = std::make_unique<TenantServer>(
+        &registry, std::vector<std::string>{kTenant}, options);
+  }
+  explicit OneTenantServer(const Snapshot& snapshot)
+      : OneTenantServer(snapshot, TenantServer::Options()) {}
+
+  ModelRegistry registry;
+  std::unique_ptr<TenantServer> server;
+};
 
 // ---------------------------------------------------------------------------
 // Snapshot round trip
@@ -405,23 +425,24 @@ TEST(QuantizedSessionTest, QuantizedForwardBumpsTheCounter) {
   EXPECT_EQ(obs::GetCounter("serve.quantized").Value(), before + 2);
 }
 
-TEST(QuantizedSessionTest, ServesThroughTheBatchingServer) {
+TEST(QuantizedSessionTest, ServesThroughAOneTenantServer) {
   auto quantized = serve::QuantizeSnapshot(MakeSnapshot());
   ASSERT_TRUE(quantized.ok());
   auto session = InferenceSession::Create(quantized.value());
   ASSERT_TRUE(session.ok());
   const auto direct = session.value()->PredictBatch(QueryTexts());
 
-  BatchingServer server(session.value().get());
+  OneTenantServer serving(quantized.value());
+  EXPECT_TRUE(serving.registry.Acquire(kTenant)->quantized());
   for (size_t i = 0; i < QueryTexts().size(); ++i) {
-    auto result = server.Predict(QueryTexts()[i]);
+    auto result = serving.server->Predict(kTenant, QueryTexts()[i]);
     ASSERT_TRUE(result.ok()) << result.status().message();
     EXPECT_EQ(result.value().label, direct[i].label);
     ASSERT_EQ(result.value().probs.size(), direct[i].probs.size());
     for (size_t c = 0; c < direct[i].probs.size(); ++c)
       EXPECT_EQ(result.value().probs[c], direct[i].probs[c]) << i << "," << c;
   }
-  server.Shutdown();
+  serving.server->Shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -464,27 +485,14 @@ TEST(InferenceSessionTest, OpenReportsLoadErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchingServer
+// One-tenant TenantServer: the single-model serving shape
 
-// The TSan-swept concurrency shape from ISSUE acceptance: 8 closed-loop
-// client threads against one server; every coalesced answer must equal the
-// serial single-request answer for the same text (eval-mode forwards are
-// deterministic and rows are independent, so co-batching must not change
-// results).
-TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
-
-  // Serial reference answers, one text per forward.
-  std::vector<Prediction> expected;
-  for (const auto& text : QueryTexts()) {
-    auto one = session.value()->PredictBatch(
-        std::span<const std::string>(&text, 1));
-    ASSERT_EQ(one.size(), 1u);
-    expected.push_back(one[0]);
-  }
-
-  BatchingServer::Options options;
+// The TSan-swept concurrency shape: 8 closed-loop client threads against
+// one server; every coalesced answer must equal the serial single-request
+// answer for the same text (eval-mode forwards are deterministic and rows
+// are independent, so co-batching must not change results).
+TEST(OneTenantServerTest, EightThreadsGetSerialIdenticalResults) {
+  TenantServer::Options options;
   options.max_batch = 16;
   options.max_delay_us = 500;
   // Run the full observability surface under the concurrent load: the live
@@ -494,10 +502,21 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
   options.obs_http.enabled = true;
   options.servelog_dir = ::testing::TempDir();
   options.servelog_sample = 1;
-  BatchingServer server(session.value().get(), options);
+  OneTenantServer serving(MakeSnapshot(), options);
+  TenantServer& server = *serving.server;
   EXPECT_NE(server.obs_http_port(), 0);
   ASSERT_NE(server.servelog(), nullptr);
   const std::string servelog_path = server.servelog()->path();
+
+  // Serial reference answers, one text per forward on the published model.
+  const auto session = serving.registry.Acquire(kTenant);
+  ASSERT_NE(session, nullptr);
+  std::vector<Prediction> expected;
+  for (const auto& text : QueryTexts()) {
+    auto one = session->PredictBatch(std::span<const std::string>(&text, 1));
+    ASSERT_EQ(one.size(), 1u);
+    expected.push_back(one[0]);
+  }
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 32;
@@ -507,7 +526,7 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const size_t q = static_cast<size_t>(t + i) % QueryTexts().size();
-        auto result = server.Predict(QueryTexts()[q]);
+        auto result = server.Predict(kTenant, QueryTexts()[q]);
         if (!result.ok() || result.value().label != expected[q].label ||
             result.value().probs != expected[q].probs) {
           ++mismatches[t];
@@ -519,8 +538,9 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
   server.Shutdown();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 
-  const auto stats = server.GetStats();
+  const auto stats = server.GetStats(kTenant);
   EXPECT_EQ(stats.requests, static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(stats.rejected, 0u);
   EXPECT_GT(stats.batches, 0u);
   // Coalescing must actually happen under 8-way concurrent load.
   EXPECT_LT(stats.batches, stats.requests);
@@ -539,21 +559,19 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
   std::remove(servelog_path.c_str());
 }
 
-TEST(BatchingServerTest, ShutdownDrainsEveryPendingFuture) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
+TEST(OneTenantServerTest, ShutdownDrainsEveryPendingFuture) {
   // A huge delay and batch bound park submissions in the queue so Shutdown()
   // races real pending work.
-  BatchingServer::Options options;
+  TenantServer::Options options;
   options.max_batch = 1024;
   options.max_delay_us = 60 * 1000 * 1000;
-  BatchingServer server(session.value().get(), options);
+  OneTenantServer serving(MakeSnapshot(), options);
+  TenantServer& server = *serving.server;
 
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(
-        server.Submit(QueryTexts()[static_cast<size_t>(i) %
-                                   QueryTexts().size()]));
+    futures.push_back(server.Submit(
+        kTenant, QueryTexts()[static_cast<size_t>(i) % QueryTexts().size()]));
   }
   server.Shutdown();
   for (auto& f : futures) {
@@ -563,28 +581,25 @@ TEST(BatchingServerTest, ShutdownDrainsEveryPendingFuture) {
   }
 }
 
-TEST(BatchingServerTest, SubmitAfterShutdownResolvesToError) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
-  BatchingServer server(session.value().get());
+TEST(OneTenantServerTest, SubmitAfterShutdownResolvesToError) {
+  OneTenantServer serving(MakeSnapshot());
+  TenantServer& server = *serving.server;
   server.Shutdown();
   server.Shutdown();  // idempotent
-  auto result = server.Submit("the movie was great").get();
+  auto result = server.Submit(kTenant, "the movie was great").get();
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("shut down"), std::string::npos)
       << result.status().message();
 }
 
-TEST(BatchingServerTest, DestructorResolvesOutstandingFutures) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
+TEST(OneTenantServerTest, DestructorResolvesOutstandingFutures) {
   std::vector<std::future<StatusOr<Prediction>>> futures;
   {
-    BatchingServer::Options options;
+    TenantServer::Options options;
     options.max_delay_us = 60 * 1000 * 1000;
-    BatchingServer server(session.value().get(), options);
+    OneTenantServer serving(MakeSnapshot(), options);
     for (int i = 0; i < 8; ++i)
-      futures.push_back(server.Submit("brilliant acting"));
+      futures.push_back(serving.server->Submit(kTenant, "brilliant acting"));
   }  // destructor == Shutdown()
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
 }
@@ -616,9 +631,10 @@ eval::ExperimentOptions TinyApiOptions() {
 }
 
 TEST(ApiTest, TrainRejectsEmptyTrainSet) {
+  data::TaskDataset dataset = TinyApiDataset();
+  dataset.train.clear();
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
-  spec.dataset.train.clear();
+  spec.source = data::DataSource::Inline(dataset);
   auto report = api::Train(spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("train is empty"),
@@ -627,9 +643,10 @@ TEST(ApiTest, TrainRejectsEmptyTrainSet) {
 }
 
 TEST(ApiTest, TrainRejectsDegenerateClassCount) {
+  data::TaskDataset dataset = TinyApiDataset();
+  dataset.num_classes = 1;
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
-  spec.dataset.num_classes = 1;
+  spec.source = data::DataSource::Inline(dataset);
   auto report = api::Train(spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("num_classes"), std::string::npos)
@@ -637,9 +654,10 @@ TEST(ApiTest, TrainRejectsDegenerateClassCount) {
 }
 
 TEST(ApiTest, TrainRejectsOutOfRangeLabels) {
+  data::TaskDataset dataset = TinyApiDataset();
+  dataset.train[3].label = dataset.num_classes + 5;
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
-  spec.dataset.train[3].label = spec.dataset.num_classes + 5;
+  spec.source = data::DataSource::Inline(dataset);
   auto report = api::Train(spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("label"), std::string::npos)
@@ -650,8 +668,9 @@ TEST(ApiTest, TrainRejectsOutOfRangeLabels) {
 // InferenceSession::Open -> PredictBatch, with the session serving the
 // training-time logits bit for bit.
 TEST(ApiTest, TrainExportServeLifecycle) {
+  const data::TaskDataset dataset = TinyApiDataset();
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
+  spec.source = data::DataSource::Inline(dataset);
   spec.method = eval::Method::kBaseline;  // fastest method; facade is the DUT
   spec.options = TinyApiOptions();
   spec.seed = 5;
@@ -669,8 +688,8 @@ TEST(ApiTest, TrainExportServeLifecycle) {
   ASSERT_TRUE(opened.ok()) << opened.status().message();
 
   std::vector<std::string> queries;
-  for (size_t i = 0; i < 5 && i < spec.dataset.test.size(); ++i)
-    queries.push_back(spec.dataset.test[i].text);
+  for (size_t i = 0; i < 5 && i < dataset.test.size(); ++i)
+    queries.push_back(dataset.test[i].text);
   const Tensor a = direct.value()->Logits(queries);
   const Tensor b = opened.value()->Logits(queries);
   ASSERT_EQ(a.shape(), b.shape());
@@ -680,9 +699,8 @@ TEST(ApiTest, TrainExportServeLifecycle) {
   ASSERT_EQ(predictions.size(), queries.size());
   for (const auto& p : predictions) {
     EXPECT_GE(p.label, 0);
-    EXPECT_LT(p.label, spec.dataset.num_classes);
-    EXPECT_EQ(p.probs.size(),
-              static_cast<size_t>(spec.dataset.num_classes));
+    EXPECT_LT(p.label, dataset.num_classes);
+    EXPECT_EQ(p.probs.size(), static_cast<size_t>(dataset.num_classes));
   }
   std::remove(path.c_str());
 }

@@ -4,7 +4,7 @@
 // accounting they carry, the ROTOM_SERVELOG_DIR fallback, and the
 // ROTOM_METRICS=off contract (the recorder and the serving path are
 // independent of the metrics switch). The TSan sweep in scripts/check.sh
-// re-runs this binary: concurrent clients, the batching worker, and the
+// re-runs this binary: concurrent clients, the server worker, and the
 // recorder's lock-free append path must stay race-free together.
 
 #include <cstdint>
@@ -25,8 +25,6 @@
 namespace rotom {
 namespace {
 
-using serve::BatchingServer;
-using serve::InferenceSession;
 using serve::ModelRegistry;
 using serve::Prediction;
 using serve::Snapshot;
@@ -78,6 +76,22 @@ bool IsEvent(const std::string& line, const std::string& event) {
   return line.find("\"event\": \"" + event + "\"") != std::string::npos;
 }
 
+// A registry holding one published model and a TenantServer serving it —
+// how a single model is served.
+constexpr char kTenant[] = "model";
+
+struct OneTenantServer {
+  OneTenantServer(const Snapshot& snapshot,
+                  const TenantServer::Options& options) {
+    EXPECT_TRUE(registry.Publish(kTenant, snapshot).ok());
+    server = std::make_unique<TenantServer>(
+        &registry, std::vector<std::string>{kTenant}, options);
+  }
+
+  ModelRegistry registry;
+  std::unique_ptr<TenantServer> server;
+};
+
 // Integer field value out of a flat JSONL line; -1 when absent.
 int64_t IntField(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\": ";
@@ -86,12 +100,8 @@ int64_t IntField(const std::string& line, const std::string& key) {
   return std::atoll(line.c_str() + pos + needle.size());
 }
 
-TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
-  const Snapshot snapshot = MakeSnapshot();
-  auto session = InferenceSession::Create(snapshot);
-  ASSERT_TRUE(session.ok()) << session.status().message();
-
-  BatchingServer::Options options;
+TEST(ServeLogTest, OneTenantServerWritesManifestAndDenseMonotonicIds) {
+  TenantServer::Options options;
   options.max_batch = 4;
   options.max_delay_us = 200;
   options.servelog_dir = ::testing::TempDir();
@@ -99,11 +109,12 @@ TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
   constexpr int kRequests = 24;
   std::string path;
   {
-    BatchingServer server(session.value().get(), options);
+    OneTenantServer serving(MakeSnapshot(), options);
+    TenantServer& server = *serving.server;
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     for (int i = 0; i < kRequests; ++i) {
-      ASSERT_TRUE(server.Predict("the movie was great").ok());
+      ASSERT_TRUE(server.Predict(kTenant, "the movie was great").ok());
     }
     server.Shutdown();
   }
@@ -122,13 +133,13 @@ TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
   EXPECT_NE(manifest.find(obs::kServeLogSchema), std::string::npos);
   EXPECT_TRUE(HasField(manifest, "simd_flavor"));
   EXPECT_TRUE(HasField(manifest, "rotom_simd"));
-  EXPECT_NE(manifest.find("\"server\": \"batching\""), std::string::npos);
-  EXPECT_NE(manifest.find("\"precision\": \"f32\""), std::string::npos);
+  EXPECT_NE(manifest.find("\"server\": \"tenant\""), std::string::npos);
+  EXPECT_EQ(IntField(manifest, "tenants"), 1);
   EXPECT_EQ(IntField(manifest, "sample"), 1);
   EXPECT_EQ(IntField(manifest, "max_batch"), 4);
 
   // Request ids are dense (1..N, accepted submissions only) and, because
-  // the BatchingServer queue is FIFO, strictly increasing in file order.
+  // a tenant's queue is FIFO, strictly increasing in file order.
   int64_t expected_id = 0;
   for (const std::string& line : lines) {
     if (!IsEvent(line, "request")) continue;
@@ -141,28 +152,27 @@ TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
     EXPECT_GE(total_us, queue_us) << line;
     EXPECT_GE(IntField(line, "batch_size"), 1);
     EXPECT_GE(IntField(line, "label"), 0);
-    // The single-server global stream carries no tenant field.
-    EXPECT_FALSE(HasField(line, "tenant")) << line;
+    EXPECT_NE(line.find("\"tenant\": \"model\""), std::string::npos)
+        << line;
   }
   EXPECT_EQ(expected_id, kRequests);
   std::remove(path.c_str());
 }
 
 TEST(ServeLogTest, SamplingKeepsOneInN) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok());
-  BatchingServer::Options options;
+  TenantServer::Options options;
   options.max_batch = 4;
   options.max_delay_us = 200;
   options.servelog_dir = ::testing::TempDir();
   options.servelog_sample = 4;
   std::string path;
   {
-    BatchingServer server(session.value().get(), options);
+    OneTenantServer serving(MakeSnapshot(), options);
+    TenantServer& server = *serving.server;
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     for (int i = 0; i < 16; ++i)
-      ASSERT_TRUE(server.Predict("terrible plot").ok());
+      ASSERT_TRUE(server.Predict(kTenant, "terrible plot").ok());
   }
   std::vector<int64_t> ids;
   for (const std::string& line : ReadLines(path)) {
@@ -175,15 +185,15 @@ TEST(ServeLogTest, SamplingKeepsOneInN) {
 
 TEST(ServeLogTest, EnvDirFallbackOpensTheRecorder) {
   ::setenv("ROTOM_SERVELOG_DIR", ::testing::TempDir().c_str(), 1);
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok());
   std::string path;
   {
-    BatchingServer server(session.value().get());  // no servelog options
+    // No servelog options: the server opens the recorder from the env.
+    OneTenantServer serving(MakeSnapshot(), TenantServer::Options());
+    TenantServer& server = *serving.server;
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     EXPECT_EQ(path.rfind(::testing::TempDir(), 0), 0u) << path;
-    ASSERT_TRUE(server.Predict("the movie was great").ok());
+    ASSERT_TRUE(server.Predict(kTenant, "the movie was great").ok());
   }
   ::unsetenv("ROTOM_SERVELOG_DIR");
   EXPECT_FALSE(ReadLines(path).empty());
@@ -287,10 +297,7 @@ TEST(ServeLogTest, MetricsOffKeepsServingAndRecorderWorking) {
   ObsEnabledGuard guard;
   obs::SetEnabled(false);
 
-  const Snapshot snapshot = MakeSnapshot();
-  auto session = InferenceSession::Create(snapshot);
-  ASSERT_TRUE(session.ok());
-  BatchingServer::Options options;
+  TenantServer::Options options;
   options.max_batch = 4;
   options.max_delay_us = 200;
   options.servelog_dir = ::testing::TempDir();
@@ -298,17 +305,18 @@ TEST(ServeLogTest, MetricsOffKeepsServingAndRecorderWorking) {
   options.obs_http.enabled = true;
   std::string path;
   {
-    BatchingServer server(session.value().get(), options);
+    OneTenantServer serving(MakeSnapshot(), options);
+    TenantServer& server = *serving.server;
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     for (int i = 0; i < 8; ++i) {
-      auto result = server.Predict("the movie was great");
+      auto result = server.Predict(kTenant, "the movie was great");
       ASSERT_TRUE(result.ok()) << result.status().message();
       EXPECT_EQ(result.value().probs.size(), 3u);
     }
     // Internal stats counters are mutex-guarded members, not obs metrics,
     // so they keep counting with the switch off.
-    EXPECT_EQ(server.GetStats().requests, 8u);
+    EXPECT_EQ(server.GetStats(kTenant).requests, 8u);
   }
   // The recorder is independent of the metrics switch: events still land.
   int requests = 0;

@@ -413,8 +413,9 @@ int CmdSummary(const std::string& path) {
 
 // ---- Serve logs (obs/servelog.h, rotom-servelog-v1) ----
 
-// Per-tenant rollup of one serve log. The BatchingServer's global stream
-// (request events with no `tenant` field) lands under the display name "-".
+// Per-tenant rollup of one serve log. Logs written by the retired
+// single-model BatchingServer carry request events with no `tenant` field;
+// they land under the display name "-".
 struct ServeTenantStats {
   int64_t sampled = 0;           // request events seen (1-in-`sample`)
   int64_t sheds = 0;             // shed events
@@ -772,6 +773,10 @@ int CmdSelftest() {
                            /*compute_us=*/300, /*total_us=*/400,
                            /*batch_size=*/4, /*label=*/1);
     }
+    // Old single-model logs carry tenant-less request events.
+    servelog->LogRequest(/*id=*/9, /*tenant=*/"", /*queue_us=*/100,
+                         /*compute_us=*/300, /*total_us=*/400,
+                         /*batch_size=*/4, /*label=*/0);
     servelog->LogShed("em", /*queue_depth=*/16);
     servelog->LogSwap("em", /*version=*/2);
     servelog->LogWindow("em", /*completed=*/8, /*shed=*/1, /*p99_us=*/400,
@@ -797,6 +802,7 @@ int CmdSelftest() {
   SELFTEST_CHECK(ExactPercentile(serve_run.tenants.at("em").total_us, 0.99) ==
                  400);
   SELFTEST_CHECK(serve_run.tenants.count("cls") == 0);  // never sampled
+  SELFTEST_CHECK(serve_run.tenants.at("-").sampled == 1);
 
   // Same crash-truncation tolerance as the run-log parser.
   {

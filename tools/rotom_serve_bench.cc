@@ -6,23 +6,30 @@
 //   serial  — one client thread calling InferenceSession::PredictBatch with
 //             a single text per call (batch size 1, the no-batching shape),
 //   server  — ROTOM_SERVE_CLIENTS closed-loop client threads (default 8)
-//             submitting single requests through a BatchingServer, whose
-//             worker coalesces whatever is waiting into one fused forward.
+//             submitting single requests through a one-tenant
+//             TenantServer, whose worker coalesces whatever is waiting into
+//             one fused forward.
 //
-// Both modes run twice: once against the float session and once against an
-// int8 session built by quantizing the same snapshot (DESIGN.md §12), so
+// Both modes run twice: once against the float model (published from its
+// snapshot file, tenant `f32`) and once against an int8 model built by
+// quantizing the same snapshot (DESIGN.md §12, tenant `int8`), so
 // BENCH_serve.json carries the quantized-serving qps uplift
 // (speedup_vs_f32_serial) next to the micro-batching speedup.
 //
 // A fifth window exercises the multi-tenant registry tier (DESIGN.md §13):
-// three tenant models behind a ModelRegistry-backed TenantServer, each
+// three tenant models (`em`, `edt`, `cls`) behind one TenantServer, each
 // published twice (v1 f32 via the mmap file path, v2 int8), with a swapper
 // thread hot-swapping versions mid-run while the closed-loop clients keep
-// submitting. Every response is verified against per-version ground-truth
-// labels computed up front; the bench exits non-zero if any response is
-// rejected or served from anything other than a coherent published version,
-// or if fewer than two swaps landed. The serve/tenants record in
-// BENCH_serve.json carries the swap/reject/incorrect counts alongside qps.
+// submitting. The serve/tenants record in BENCH_serve.json carries the
+// swap/reject/incorrect counts alongside qps.
+//
+// Every server response, in every window, is verified against labels
+// computed up front on the published models (both versions for the swapped
+// tenants). The bench exits non-zero if any response is rejected or
+// incorrect, if fewer than two swaps landed, or if the global
+// serve.queue_wait_us count differs from the summed per-tenant
+// serve.tenant.<t>.latency_us counts (the two must cover the same requests
+// for serve.queue_wait_share to mean anything).
 //
 // Each client is closed-loop: it submits one request, waits for the result,
 // and immediately submits the next, so offered load tracks service rate and
@@ -44,13 +51,13 @@
 // see EXPERIMENTS.md "Serve bench".
 //
 // Output: a console table plus BENCH_serve.json (rotom-bench-v2 schema; the
-// metrics section carries the serve.* counters, the serve.latency_us /
+// metrics section carries the serve.tenant.<t>.* instruments, the
 // serve.queue_wait_us / serve.compute_us / serve.batch_size histograms with
 // interpolated percentiles, and the derived serve.reject_rate /
 // serve.queue_wait_share ratios). The bench also runs the full serving
 // observability surface under load: a serve flight recorder
 // (serve_bench-p<pid>-*.jsonl next to BENCH_serve.json, readable with
-// `rotom_inspect serve`) shared by both servers and the registry, and a
+// `rotom_inspect serve`) shared by every server and the registry, and a
 // live /metrics listener on an ephemeral loopback port per server window.
 //
 // Environment:
@@ -87,16 +94,6 @@ double Now() {
       .count();
 }
 
-// A servable model with bench-scale weights, in both serving precisions.
-// Training quality is irrelevant to throughput, so the weights stay at
-// their random initialization; the snapshot round trip is still exercised
-// end to end (Save -> Open for the float session, QuantizeSnapshot ->
-// Create for the int8 one, mirroring the offline rotom_quantize flow).
-struct Sessions {
-  std::unique_ptr<serve::InferenceSession> f32;
-  std::unique_ptr<serve::InferenceSession> int8;
-};
-
 // Bench-scale servable model with seed-determined random weights.
 // dim 128 (not the experiments' 32/64): the serving stand-in should be
 // wide enough that per-layer GEMMs dominate the forward the way they do
@@ -116,21 +113,6 @@ serve::Snapshot MakeBenchSnapshot(uint64_t seed) {
   models::TransformerClassifier model(config, vocab, rng);
   model.SetTraining(false);
   return serve::Snapshot::FromModel(model);
-}
-
-StatusOr<Sessions> MakeSessions(const std::string& snapshot_path) {
-  const serve::Snapshot snapshot = MakeBenchSnapshot(7);
-  if (auto s = snapshot.Save(snapshot_path); !s.ok()) return s;
-  auto f32 = serve::InferenceSession::Open(snapshot_path);
-  if (!f32.ok()) return f32.status();
-  auto quantized = serve::QuantizeSnapshot(snapshot);
-  if (!quantized.ok()) return quantized.status();
-  auto int8 = serve::InferenceSession::Create(quantized.value());
-  if (!int8.ok()) return int8.status();
-  Sessions out;
-  out.f32 = std::move(f32).value();
-  out.int8 = std::move(int8).value();
-  return out;
 }
 
 // Distinct query texts; clients cycle through the pool, so after warmup the
@@ -154,6 +136,8 @@ std::vector<std::string> MakeQueryPool(size_t size) {
 struct LoadResult {
   uint64_t requests = 0;
   double wall_seconds = 0.0;
+  uint64_t rejected = 0;   // server responses that came back as an error
+  uint64_t incorrect = 0;  // labels matching no published version
   double qps() const {
     return wall_seconds > 0.0 ? static_cast<double>(requests) / wall_seconds
                               : 0.0;
@@ -178,53 +162,29 @@ LoadResult RunSerial(const serve::InferenceSession& session,
   return result;
 }
 
-// Closed-loop clients through the micro-batching server.
-LoadResult RunServer(serve::BatchingServer& server,
-                     const std::vector<std::string>& pool, int64_t clients,
-                     double seconds) {
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> completed{0};
-  std::vector<std::thread> threads;
-  const double start = Now();
-  for (int64_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      size_t i = static_cast<size_t>(c) * 17;  // de-phase the clients
-      while (!stop.load(std::memory_order_relaxed)) {
-        auto prediction = server.Predict(pool[i++ % pool.size()]);
-        ROTOM_CHECK(prediction.ok());
-        completed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true);
-  for (auto& t : threads) t.join();
-  LoadResult result;
-  result.wall_seconds = Now() - start;
-  result.requests = completed.load();
-  return result;
+// Per-query labels of one published model version, computed up front.
+using Labels = std::vector<int64_t>;
+
+Labels LabelsOf(const serve::InferenceSession& session,
+                const std::vector<std::string>& pool) {
+  Labels labels;
+  for (const auto& p : session.PredictBatch(pool)) labels.push_back(p.label);
+  return labels;
 }
 
-struct TenantLoadResult {
-  LoadResult load;
-  uint64_t swaps = 0;      // hot-swaps performed mid-run
-  uint64_t rejected = 0;   // responses that came back as an error Status
-  uint64_t incorrect = 0;  // labels matching neither published version
-};
-
-// Mixed-tenant window: closed-loop clients spread over `tenants`, each
-// response checked against the per-version ground truth, while a swapper
-// thread alternates every tenant's active version mid-run. A correct
-// registry makes rejected == incorrect == 0: requests in flight across a
-// swap finish on the version they pinned (whose labels are in the expected
-// set), and new batches pin the new version atomically.
-TenantLoadResult RunTenants(serve::ModelRegistry& registry,
-                            serve::TenantServer& server,
-                            const std::vector<std::string>& tenants,
-                            const std::vector<std::vector<int64_t>>& labels_v1,
-                            const std::vector<std::vector<int64_t>>& labels_v2,
-                            const std::vector<std::string>& pool,
-                            int64_t clients, double seconds) {
+// Closed-loop clients through a TenantServer, spread round-robin over
+// `tenants`, each response checked against the tenant's up-front labels: a
+// label must match `labels_v1[t]` or `labels_v2[t]` (the two versions a
+// swapped tenant may be answered by; pass the same labels twice for an
+// unswapped tenant). A correct server makes rejected == incorrect == 0:
+// requests in flight across a swap finish on the version they pinned, and
+// new batches pin the new version atomically.
+LoadResult RunServer(serve::TenantServer& server,
+                     const std::vector<std::string>& tenants,
+                     const std::vector<Labels>& labels_v1,
+                     const std::vector<Labels>& labels_v2,
+                     const std::vector<std::string>& pool, int64_t clients,
+                     double seconds) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> completed{0}, rejected{0}, incorrect{0};
   std::vector<std::thread> threads;
@@ -246,30 +206,12 @@ TenantLoadResult RunTenants(serve::ModelRegistry& registry,
       }
     });
   }
-
-  // Four swap events paced to land inside the window: each tenant is moved
-  // to its int8 version in turn, then the first tenant is moved back.
-  std::atomic<uint64_t> swaps{0};
-  std::thread swapper([&] {
-    for (int e = 0; e < 4; ++e) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(seconds / 5));
-      const std::string& name = tenants[static_cast<size_t>(e) %
-                                        tenants.size()];
-      const uint64_t target = e < 3 ? 2 : 1;
-      if (registry.Swap(name, target).ok())
-        swaps.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   stop.store(true);
   for (auto& t : threads) t.join();
-  swapper.join();
-
-  TenantLoadResult result;
-  result.load.wall_seconds = Now() - start;
-  result.load.requests = completed.load();
-  result.swaps = swaps.load();
+  LoadResult result;
+  result.wall_seconds = Now() - start;
+  result.requests = completed.load();
   result.rejected = rejected.load();
   result.incorrect = incorrect.load();
   return result;
@@ -284,18 +226,6 @@ int Main() {
   const double min_speedup =
       static_cast<double>(bench::EnvInt("ROTOM_SERVE_MIN_SPEEDUP_PCT", 0)) /
       100.0;
-
-  const std::string snapshot_path =
-      bench::BenchJsonPath("rotom_serve_bench.rsnap");
-  auto sessions = MakeSessions(snapshot_path);
-  if (!sessions.ok()) {
-    std::fprintf(stderr, "rotom_serve_bench: %s\n",
-                 sessions.status().message().c_str());
-    return 1;
-  }
-  serve::InferenceSession& f32_session = *sessions.value().f32;
-  serve::InferenceSession& int8_session = *sessions.value().int8;
-  const std::vector<std::string> pool = MakeQueryPool(256);
 
   // Serve flight recorder, shared by every server window and the registry
   // (so `swap` events interleave with the request stream they redirect).
@@ -318,18 +248,67 @@ int Main() {
   // ROTOM_OBS_SNAPSHOT; a no-op when the variable is unset.
   obs::InstallSnapshotSignalHandler();
 
-  // Warm the encoding caches and the buffer pool outside the windows so
-  // every mode measures steady state.
-  f32_session.PredictBatch(pool);
-  int8_session.PredictBatch(pool);
+  // Every model the bench serves lives in one registry. Each tenant's v1 is
+  // f32, loaded through the Snapshot::LoadMapped file path (the deployment
+  // shape); the `int8` tenant and every v2 are QuantizeSnapshot outputs
+  // published in memory (mirroring the offline rotom_quantize flow).
+  // Training quality is irrelevant to throughput, so the weights stay at
+  // their random initialization.
+  serve::ModelRegistry::Options registry_options;
+  registry_options.servelog = servelog;  // swap events join the same stream
+  serve::ModelRegistry registry(registry_options);
+  auto publish_file = [&](const std::string& name,
+                          const serve::Snapshot& snapshot) -> Status {
+    const std::string path =
+        bench::BenchJsonPath("rotom_serve_bench_" + name + ".rsnap");
+    if (Status s = snapshot.Save(path); !s.ok()) return s;
+    auto version = registry.Publish(name, path);
+    std::remove(path.c_str());
+    return version.status();
+  };
+  auto publish_int8 = [&](const std::string& name,
+                          const serve::Snapshot& snapshot) -> Status {
+    auto quantized = serve::QuantizeSnapshot(snapshot);
+    if (!quantized.ok()) return quantized.status();
+    return registry.Publish(name, quantized.value()).status();
+  };
+  const serve::Snapshot model = MakeBenchSnapshot(7);
+  Status published = publish_file("f32", model);
+  if (published.ok()) published = publish_int8("int8", model);
+  const std::vector<std::string> tenant_names = {"em", "edt", "cls"};
+  for (size_t t = 0; t < tenant_names.size() && published.ok(); ++t) {
+    const serve::Snapshot snapshot = MakeBenchSnapshot(7 + t);
+    published = publish_file(tenant_names[t], snapshot);
+    if (published.ok()) published = publish_int8(tenant_names[t], snapshot);
+  }
+  if (!published.ok()) {
+    std::fprintf(stderr, "rotom_serve_bench: %s\n",
+                 published.message().c_str());
+    return 1;
+  }
+
+  // Ground-truth labels, computed on directly pinned sessions before any
+  // traffic flows. This also warms the encoding caches and the buffer pool
+  // outside the windows so every mode measures steady state.
+  const std::vector<std::string> pool = MakeQueryPool(256);
+  const auto f32_session = registry.Acquire("f32");
+  const auto int8_session = registry.Acquire("int8");
+  const Labels f32_labels = LabelsOf(*f32_session, pool);
+  const Labels int8_labels = LabelsOf(*int8_session, pool);
+  std::vector<Labels> labels_v1, labels_v2;
+  for (const std::string& name : tenant_names) {
+    labels_v1.push_back(LabelsOf(*registry.AcquireVersion(name, 1), pool));
+    labels_v2.push_back(LabelsOf(*registry.AcquireVersion(name, 2), pool));
+  }
 
   bench::PrintTitle(
       "serve: micro-batching and int8 vs f32 serial (BENCH_serve.json)");
   bench::PrintHeader("mode", {"threads", "qps", "speedup"});
 
-  serve::BatchingServer::Options server_options;
+  serve::TenantServer::Options server_options;
   server_options.max_batch = max_batch;
   server_options.max_delay_us = 200;
+  server_options.queue_capacity = 1024;
   server_options.servelog = servelog;
   // Live scrape endpoint on an ephemeral port, held open for the window's
   // duration: the bench doubles as an integration check that the listener
@@ -337,33 +316,41 @@ int Main() {
   server_options.obs_http.enabled = true;
   server_options.obs_http.port = 0;
 
+  // One closed-loop window through a one-tenant server for `tenant`.
+  auto run_one_tenant = [&](const std::string& tenant, const Labels& labels,
+                            serve::TenantServer::Stats* stats) {
+    serve::TenantServer server(&registry, {tenant}, server_options);
+    if (server.obs_http_port() != 0)
+      std::printf("obs http: 127.0.0.1:%d/metrics\n", server.obs_http_port());
+    const LoadResult result =
+        RunServer(server, {tenant}, {labels}, {labels}, pool, clients,
+                  seconds);
+    server.Shutdown();
+    *stats = server.GetStats(tenant);
+    return result;
+  };
+
   // Four closed-loop windows over the same query pool: {serial, batched
   // server} x {f32, int8}. Every speedup column is relative to the f32
   // serial baseline, so the table reads as "what does each optimization buy
   // on this host".
-  const LoadResult serial = RunSerial(f32_session, pool, seconds);
+  const LoadResult serial = RunSerial(*f32_session, pool, seconds);
   bench::PrintRow("serial f32", {1.0, serial.qps(), 1.0});
 
-  serve::BatchingServer server(&f32_session, server_options);
-  if (server.obs_http_port() != 0)
-    std::printf("obs http: 127.0.0.1:%d/metrics\n", server.obs_http_port());
-  const LoadResult batched = RunServer(server, pool, clients, seconds);
-  server.Shutdown();
-  const auto stats = server.GetStats();
+  serve::TenantServer::Stats stats;
+  const LoadResult batched = run_one_tenant("f32", f32_labels, &stats);
   const double speedup =
       serial.qps() > 0.0 ? batched.qps() / serial.qps() : 0.0;
   bench::PrintRow("server f32",
                   {static_cast<double>(clients), batched.qps(), speedup});
 
-  const LoadResult qserial = RunSerial(int8_session, pool, seconds);
+  const LoadResult qserial = RunSerial(*int8_session, pool, seconds);
   const double qserial_speedup =
       serial.qps() > 0.0 ? qserial.qps() / serial.qps() : 0.0;
   bench::PrintRow("serial int8", {1.0, qserial.qps(), qserial_speedup});
 
-  serve::BatchingServer qserver(&int8_session, server_options);
-  const LoadResult qbatched = RunServer(qserver, pool, clients, seconds);
-  qserver.Shutdown();
-  const auto qstats = qserver.GetStats();
+  serve::TenantServer::Stats qstats;
+  const LoadResult qbatched = run_one_tenant("int8", int8_labels, &qstats);
   const double qbatched_speedup =
       serial.qps() > 0.0 ? qbatched.qps() / serial.qps() : 0.0;
   bench::PrintRow("server int8",
@@ -379,66 +366,33 @@ int Main() {
                                  : 0.0,
               qserial_speedup);
 
-  // Mixed-tenant registry window. Each tenant publishes v1 (f32, through
-  // the Snapshot::LoadMapped file path — the deployment shape) and v2
-  // (int8, in-memory); ground-truth labels for both versions are computed
-  // on directly pinned sessions before any traffic flows.
-  const std::vector<std::string> tenant_names = {"em", "edt", "cls"};
-  serve::ModelRegistry::Options registry_options;
-  registry_options.servelog = servelog;  // swap events join the same stream
-  serve::ModelRegistry registry(registry_options);
-  std::vector<std::vector<int64_t>> labels_v1, labels_v2;
-  for (size_t t = 0; t < tenant_names.size(); ++t) {
-    const serve::Snapshot snapshot = MakeBenchSnapshot(7 + t);
-    const std::string path = bench::BenchJsonPath(
-        "rotom_serve_bench_" + tenant_names[t] + ".rsnap");
-    if (auto s = snapshot.Save(path); !s.ok()) {
-      std::fprintf(stderr, "rotom_serve_bench: %s\n", s.message().c_str());
-      return 1;
+  // Mixed-tenant window: the three tenants behind one server while a
+  // swapper thread paces four swap events inside the window — each tenant
+  // is moved to its int8 version in turn, then the first is moved back.
+  serve::TenantServer tenant_server(&registry, tenant_names, server_options);
+  std::atomic<uint64_t> swaps{0};
+  std::thread swapper([&] {
+    for (int e = 0; e < 4; ++e) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(seconds / 5));
+      const std::string& name =
+          tenant_names[static_cast<size_t>(e) % tenant_names.size()];
+      if (registry.Swap(name, e < 3 ? 2 : 1).ok())
+        swaps.fetch_add(1, std::memory_order_relaxed);
     }
-    auto v1 = registry.Publish(tenant_names[t], path);
-    std::remove(path.c_str());
-    auto quantized = serve::QuantizeSnapshot(snapshot);
-    if (!v1.ok() || !quantized.ok()) {
-      std::fprintf(stderr, "rotom_serve_bench: tenant publish failed\n");
-      return 1;
-    }
-    auto v2 = registry.Publish(tenant_names[t], quantized.value());
-    if (!v2.ok()) {
-      std::fprintf(stderr, "rotom_serve_bench: tenant publish failed\n");
-      return 1;
-    }
-    labels_v1.emplace_back();
-    labels_v2.emplace_back();
-    for (const auto& p : registry.AcquireVersion(tenant_names[t], 1)
-                             ->PredictBatch(pool))
-      labels_v1.back().push_back(p.label);
-    for (const auto& p : registry.AcquireVersion(tenant_names[t], 2)
-                             ->PredictBatch(pool))
-      labels_v2.back().push_back(p.label);
-  }
-
-  serve::TenantServer::Options tenant_options;
-  tenant_options.max_batch = max_batch;
-  tenant_options.max_delay_us = 200;
-  tenant_options.queue_capacity = 1024;
-  tenant_options.servelog = servelog;
-  tenant_options.obs_http.enabled = true;
-  tenant_options.obs_http.port = 0;
-  serve::TenantServer tenant_server(&registry, tenant_names, tenant_options);
-  const TenantLoadResult tenants = RunTenants(
-      registry, tenant_server, tenant_names, labels_v1, labels_v2, pool,
-      clients, seconds);
+  });
+  const LoadResult tenants = RunServer(tenant_server, tenant_names, labels_v1,
+                                       labels_v2, pool, clients, seconds);
+  swapper.join();
   tenant_server.Shutdown();
   const double tenant_speedup =
-      serial.qps() > 0.0 ? tenants.load.qps() / serial.qps() : 0.0;
+      serial.qps() > 0.0 ? tenants.qps() / serial.qps() : 0.0;
   bench::PrintRow("tenants mixed",
-                  {static_cast<double>(clients), tenants.load.qps(),
+                  {static_cast<double>(clients), tenants.qps(),
                    tenant_speedup});
   std::printf("tenant window: %zu tenants, %llu hot-swaps mid-run, "
               "%llu rejected, %llu incorrect\n",
               tenant_names.size(),
-              static_cast<unsigned long long>(tenants.swaps),
+              static_cast<unsigned long long>(swaps.load()),
               static_cast<unsigned long long>(tenants.rejected),
               static_cast<unsigned long long>(tenants.incorrect));
 
@@ -467,19 +421,22 @@ int Main() {
   json.EndRecord();
   record("serve/server", "server", "f32", clients, max_batch, batched)
       .Field("speedup_vs_serial", speedup)
-      .Field("fused_forwards", static_cast<int64_t>(stats.batches));
+      .Field("fused_forwards", static_cast<int64_t>(stats.batches))
+      .Field("rejected", static_cast<int64_t>(batched.rejected))
+      .Field("incorrect", static_cast<int64_t>(batched.incorrect));
   json.EndRecord();
   record("serve/serial_int8", "serial", "int8", 1, 1, qserial)
       .Field("speedup_vs_f32_serial", qserial_speedup);
   json.EndRecord();
   record("serve/server_int8", "server", "int8", clients, max_batch, qbatched)
       .Field("speedup_vs_f32_serial", qbatched_speedup)
-      .Field("fused_forwards", static_cast<int64_t>(qstats.batches));
+      .Field("fused_forwards", static_cast<int64_t>(qstats.batches))
+      .Field("rejected", static_cast<int64_t>(qbatched.rejected))
+      .Field("incorrect", static_cast<int64_t>(qbatched.incorrect));
   json.EndRecord();
-  record("serve/tenants", "tenants", "mixed", clients, max_batch,
-         tenants.load)
+  record("serve/tenants", "tenants", "mixed", clients, max_batch, tenants)
       .Field("tenants", static_cast<int64_t>(tenant_names.size()))
-      .Field("swaps", static_cast<int64_t>(tenants.swaps))
+      .Field("swaps", static_cast<int64_t>(swaps.load()))
       .Field("rejected", static_cast<int64_t>(tenants.rejected))
       .Field("incorrect", static_cast<int64_t>(tenants.incorrect))
       .Field("speedup_vs_f32_serial", tenant_speedup);
@@ -491,7 +448,6 @@ int Main() {
     return 1;
   }
   std::printf("wrote %s\n", out.c_str());
-  std::remove(snapshot_path.c_str());
 
   if (min_speedup > 0.0 && speedup < min_speedup) {
     std::fprintf(stderr,
@@ -499,19 +455,44 @@ int Main() {
                  speedup, min_speedup);
     return 1;
   }
-  // Hot-swap correctness is unconditional: a registry that rejects or
-  // mis-serves requests during a swap is broken regardless of throughput.
-  if (tenants.swaps < 2 || tenants.rejected != 0 || tenants.incorrect != 0) {
+  // Correctness is unconditional: a server that rejects or mis-serves
+  // requests (during a swap or otherwise) is broken regardless of
+  // throughput.
+  int failed = 0;
+  for (const auto& [name, r] : {std::pair<const char*, const LoadResult&>{
+                                    "server f32", batched},
+                                {"server int8", qbatched},
+                                {"tenants mixed", tenants}}) {
+    if (r.rejected == 0 && r.incorrect == 0) continue;
     std::fprintf(stderr,
-                 "rotom_serve_bench: tenant window failed (swaps=%llu "
-                 "rejected=%llu incorrect=%llu; need >=2 swaps, zero "
-                 "rejected/incorrect)\n",
-                 static_cast<unsigned long long>(tenants.swaps),
-                 static_cast<unsigned long long>(tenants.rejected),
-                 static_cast<unsigned long long>(tenants.incorrect));
-    return 1;
+                 "rotom_serve_bench: %s window failed (rejected=%llu "
+                 "incorrect=%llu; need zero)\n",
+                 name, static_cast<unsigned long long>(r.rejected),
+                 static_cast<unsigned long long>(r.incorrect));
+    failed = 1;
   }
-  return 0;
+  if (swaps.load() < 2) {
+    std::fprintf(stderr,
+                 "rotom_serve_bench: only %llu hot-swaps landed (need >=2)\n",
+                 static_cast<unsigned long long>(swaps.load()));
+    failed = 1;
+  }
+  // serve.queue_wait_share divides the queue-wait sum by the summed tenant
+  // latency sums; both must count exactly the same requests.
+  const obs::SnapshotData snapshot = obs::Snapshot();
+  uint64_t queue_wait_count = 0;
+  for (const obs::MetricSnapshot& m : snapshot.metrics)
+    if (m.name == "serve.queue_wait_us") queue_wait_count = m.count;
+  const uint64_t latency_count = bench::SumServeTenants(snapshot).latency_count;
+  if (queue_wait_count != latency_count) {
+    std::fprintf(stderr,
+                 "rotom_serve_bench: serve.queue_wait_us counts %llu "
+                 "requests but serve.tenant.*.latency_us count %llu\n",
+                 static_cast<unsigned long long>(queue_wait_count),
+                 static_cast<unsigned long long>(latency_count));
+    failed = 1;
+  }
+  return failed;
 }
 
 }  // namespace
