@@ -1,25 +1,24 @@
 #include "serve/session.h"
 
-#include <cstring>
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/variable.h"
 
 namespace rotom {
 namespace serve {
 
-InferenceSession::InferenceSession(
-    const models::ClassifierConfig& config,
-    std::shared_ptr<const text::Vocabulary> vocab, text::IdfTable idf,
-    const Options& options)
-    : config_(config),
-      vocab_(std::move(vocab)),
-      idf_(std::move(idf)),
-      cache_(std::make_unique<text::EncodingCache>(vocab_.get(), config.max_len,
-                                                   options.cache_rows)) {}
+InferenceSession::InferenceSession(const Snapshot& snapshot,
+                                   std::unique_ptr<InferenceEncoder> encoder,
+                                   const Options& options)
+    : config_(snapshot.config),
+      vocab_(snapshot.vocab),
+      encoder_(std::move(encoder)),
+      idf_(snapshot.idf),
+      cache_(std::make_unique<text::EncodingCache>(
+          vocab_.get(), config_.max_len, options.cache_rows)) {}
 
 StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Create(
     const Snapshot& snapshot, const Options& options) {
@@ -31,19 +30,12 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Create(
     precision =
         snapshot.qweights.empty() ? Precision::kFloat32 : Precision::kInt8;
   }
+  auto encoder =
+      InferenceEncoder::Create(snapshot, precision == Precision::kInt8);
+  if (!encoder.ok()) return encoder.status();
   // Private constructor: make_unique cannot reach it.
-  std::unique_ptr<InferenceSession> session(new InferenceSession(
-      snapshot.config, snapshot.vocab, snapshot.idf, options));
-  if (precision == Precision::kInt8) {
-    auto qmodel = QuantizedClassifier::Create(snapshot);
-    if (!qmodel.ok()) return qmodel.status();
-    session->qmodel_ = std::move(qmodel).value();
-  } else {
-    auto model = snapshot.BuildModel();
-    if (!model.ok()) return model.status();
-    session->model_ = std::move(model).value();
-  }
-  return session;
+  return std::unique_ptr<InferenceSession>(
+      new InferenceSession(snapshot, std::move(encoder).value(), options));
 }
 
 StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Open(
@@ -53,43 +45,41 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Open(
   return Create(snapshot.value(), options);
 }
 
-text::EncodedBatch InferenceSession::Assemble(
+PackedBatch InferenceSession::Assemble(
     std::span<const std::string> texts) const {
-  const int64_t max_len = cache_->max_len();
-  text::EncodedBatch batch;
-  batch.batch = static_cast<int64_t>(texts.size());
-  batch.max_len = max_len;
-  batch.ids.reserve(batch.batch * max_len);
-  batch.flags.reserve(batch.batch * max_len);
-  batch.mask = Tensor({batch.batch, max_len});
-  float* mask = batch.mask.data();
-  for (int64_t i = 0; i < batch.batch; ++i) {
-    const std::shared_ptr<const text::EncodedRow> row =
-        cache_->Encode(texts[static_cast<size_t>(i)]);
-    batch.ids.insert(batch.ids.end(), row->ids.begin(), row->ids.end());
+  PackedBatch batch;
+  batch.offsets.reserve(texts.size() + 1);
+  batch.offsets.push_back(0);
+  for (const std::string& text : texts) {
+    const std::shared_ptr<const text::EncodedRow> row = cache_->Encode(text);
+    // Real tokens come first (text::EncodeForClassifier); keep only them.
+    const auto len = static_cast<size_t>(
+        std::find(row->mask.begin(), row->mask.end(), 0.0f) -
+        row->mask.begin());
+    batch.ids.insert(batch.ids.end(), row->ids.begin(),
+                     row->ids.begin() + len);
     batch.flags.insert(batch.flags.end(), row->flags.begin(),
-                       row->flags.end());
-    std::memcpy(mask + i * max_len, row->mask.data(),
-                sizeof(float) * static_cast<size_t>(max_len));
+                       row->flags.begin() + len);
+    batch.offsets.push_back(batch.tokens());
   }
   return batch;
 }
 
 Tensor InferenceSession::Logits(std::span<const std::string> texts) const {
   if (texts.empty()) return Tensor();
-  const text::EncodedBatch batch = Assemble(texts);
-  if (qmodel_ != nullptr) {
+  const PackedBatch batch = Assemble(texts);
+  // Real tokens per fused forward: the unit a forward's cost scales with
+  // (OBSERVABILITY.md).
+  static obs::Histogram& forward_tokens =
+      obs::GetHistogram("serve.forward_tokens");
+  forward_tokens.Record(static_cast<uint64_t>(batch.tokens()));
+  if (encoder_->quantized()) {
     // Counts fused int8 forwards, so quantized vs float traffic is visible
     // per process (OBSERVABILITY.md).
     static obs::Counter& quantized_forwards = obs::GetCounter("serve.quantized");
     quantized_forwards.Add();
-    return qmodel_->Logits(batch);
   }
-  // Eval mode consumes no randomness and no-grad builds no graph; the Rng is
-  // only a signature requirement.
-  NoGradGuard guard;
-  Rng rng(0);
-  return model_->ForwardLogitsEncoded(batch, rng).value();
+  return encoder_->Logits(batch);
 }
 
 std::vector<Prediction> InferenceSession::PredictBatch(

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/qforward.h"
+#include "serve/encoder.h"
 #include "serve/snapshot.h"
 #include "text/encoding_cache.h"
 
@@ -21,29 +21,34 @@ struct Prediction {
 };
 
 /// An immutable, read-only view of a loaded snapshot that answers inference
-/// queries. The wrapped model is permanently in eval mode, every forward runs
-/// under a NoGradGuard (no autograd graph is ever built), and nothing in the
-/// session mutates model state after construction — so PredictBatch() and
-/// Logits() are safe to call concurrently from any number of threads. Text
-/// encodings are memoized in a shared text::EncodingCache (itself sharded and
-/// thread-safe), and the dense math inside a single forward still fans out
-/// over the shared compute pool.
+/// queries. The forward is a serve::InferenceEncoder (serve/encoder.h): a
+/// tape-free replay of the classifier built from the snapshot, never the
+/// autograd model. Nothing in the session mutates after construction, so
+/// PredictBatch() and Logits() are safe to call concurrently from any number
+/// of threads. Text encodings are memoized in a shared text::EncodingCache
+/// (itself sharded and thread-safe), and the dense math inside a single
+/// forward still fans out over the shared compute pool.
 ///
-/// Determinism: eval-mode forwards consume no randomness, so a given text
-/// always yields bit-identical logits — including across a Save/Load round
-/// trip of the snapshot (serve_test.cc).
+/// Packing: Assemble() drops each row's padding and packs the real tokens of
+/// the batch back to back, so a forward costs the batch's real tokens, not
+/// rows × max_len. Each row's logits are the same bits whether it is served
+/// alone or with longer or shorter rows, and in f32 they equal
+/// TransformerClassifier::ForwardLogitsEncoded on the padded row
+/// (serve_test.cc asserts both).
 ///
-/// Precision: Options::precision selects the float32 forward (the wrapped
-/// TransformerClassifier) or the int8 quantized forward (QuantizedClassifier,
-/// serve/qforward.h), defaulting to whatever the snapshot was exported as.
-/// Both modes answer the same API; the quantized mode trades a bounded
-/// accuracy delta (serve_quant_parity_test) for int8 GEMM throughput.
+/// Determinism: forwards consume no randomness, so a given text always
+/// yields bit-identical logits — including across a Save/Load round trip of
+/// the snapshot (serve_test.cc).
 ///
-/// This is the terminal consumer of the encoded-batch path: raw text is
-/// encoded exactly once (cache hit afterwards) and the model only ever sees
-/// text::EncodedBatch. For request coalescing across client threads, publish
-/// the snapshot in a ModelRegistry and put a TenantServer
-/// (serve/tenant_server.h) in front.
+/// Precision: Options::precision selects f32 or int8 linear layers in the
+/// one encoder, defaulting to whatever the snapshot was exported as. Both
+/// modes answer the same API; int8 trades a bounded accuracy delta
+/// (serve_quant_parity_test) for int8 GEMM throughput.
+///
+/// This is the terminal consumer of the encoded-row path: raw text is
+/// encoded exactly once (cache hit afterwards). For request coalescing
+/// across client threads, publish the snapshot in a ModelRegistry and put a
+/// TenantServer (serve/tenant_server.h) in front.
 class InferenceSession {
  public:
   /// Numeric mode of the forward pass (DESIGN.md §12).
@@ -52,8 +57,8 @@ class InferenceSession {
     kAuto,
     /// Full-precision forward; a quantized snapshot is dequantized on load.
     kFloat32,
-    /// int8 forward (serve/qforward.h); a float snapshot is quantized at
-    /// session build time with the same scheme tools/rotom_quantize uses.
+    /// int8 linear layers; a float snapshot is quantized at session build
+    /// time with the same scheme tools/rotom_quantize uses.
     kInt8,
   };
 
@@ -65,7 +70,7 @@ class InferenceSession {
   };
 
   /// Builds a session from an in-memory snapshot. Fails (Status) if the
-  /// snapshot's weights do not match its config.
+  /// snapshot's config is inconsistent or its weights do not match it.
   static StatusOr<std::unique_ptr<InferenceSession>> Create(
       const Snapshot& snapshot, const Options& options);
   static StatusOr<std::unique_ptr<InferenceSession>> Create(
@@ -98,25 +103,24 @@ class InferenceSession {
   const text::Vocabulary& vocab() const { return *vocab_; }
   const text::IdfTable& idf() const { return idf_; }
 
-  /// True when this session runs the int8 forward. Each quantized fused
+  /// True when this session runs int8 linear layers. Each quantized fused
   /// forward bumps the `serve.quantized` counter (OBSERVABILITY.md).
-  bool quantized() const { return qmodel_ != nullptr; }
+  bool quantized() const { return encoder_->quantized(); }
 
   /// Encoding-memo statistics (hits/misses/evictions) for this session.
   text::EncodingCache::Stats CacheStats() const { return cache_->GetStats(); }
 
  private:
-  InferenceSession(const models::ClassifierConfig& config,
-                   std::shared_ptr<const text::Vocabulary> vocab,
-                   text::IdfTable idf, const Options& options);
+  InferenceSession(const Snapshot& snapshot,
+                   std::unique_ptr<InferenceEncoder> encoder,
+                   const Options& options);
 
-  text::EncodedBatch Assemble(std::span<const std::string> texts) const;
+  /// Encodes (or looks up) each text and packs its real tokens.
+  PackedBatch Assemble(std::span<const std::string> texts) const;
 
   models::ClassifierConfig config_;
   std::shared_ptr<const text::Vocabulary> vocab_;
-  // Exactly one of the two models is set, per Options::precision.
-  std::unique_ptr<models::TransformerClassifier> model_;  // eval mode, frozen
-  std::unique_ptr<QuantizedClassifier> qmodel_;           // int8 forward
+  std::unique_ptr<InferenceEncoder> encoder_;
   text::IdfTable idf_;
   // Logically const (a pure memo); unique_ptr so the const methods can call
   // its internally-synchronized non-const Encode().

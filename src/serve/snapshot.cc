@@ -5,9 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -254,6 +256,12 @@ StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
       snapshot.config.num_layers < 1 || snapshot.config.ffn_dim < 1) {
     return Status::Error(path + ": snapshot config has non-positive sizes");
   }
+  // Room for [CLS] and [SEP], and whole attention heads: the model
+  // constructor CHECKs both.
+  if (snapshot.config.max_len < 2 ||
+      snapshot.config.dim % snapshot.config.num_heads != 0) {
+    return Status::Error(path + ": snapshot config is inconsistent");
+  }
 
   uint64_t vocab_size = 0;
   if (!r.Pod(&vocab_size) ||
@@ -287,6 +295,11 @@ StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
   uint64_t idf_count = 0;
   if (!r.Pod(&num_documents) || !r.Pod(&max_idf) || !r.Pod(&idf_count)) {
     return Status::Error(path + ": snapshot idf section is malformed");
+  }
+  // Each entry takes at least a length and a value; bounding the count by
+  // what is left keeps a corrupt count from sizing the reservation.
+  if (idf_count > r.Remaining() / (sizeof(uint64_t) + sizeof(double))) {
+    return Status::Error(path + ": snapshot idf section is truncated");
   }
   std::vector<std::pair<std::string, double>> idf_entries;
   idf_entries.reserve(idf_count);
@@ -373,6 +386,20 @@ StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
         return Status::Error(path + ": snapshot weight '" + name +
                              "' is truncated");
       }
+      // The int8 kernels take codes in [-127, 127] and dequantize in int32
+      // as `code - zero_point`; reject values the quantizer never writes.
+      constexpr int32_t kMaxZeroPoint =
+          std::numeric_limits<int32_t>::max() - 127;
+      const auto bad_zero_point = [](int32_t zp) {
+        return zp < -kMaxZeroPoint || zp > kMaxZeroPoint;
+      };
+      if (std::any_of(qt.zero_points.begin(), qt.zero_points.end(),
+                      bad_zero_point) ||
+          std::find(qt.data.begin(), qt.data.end(), int8_t{-128}) !=
+              qt.data.end()) {
+        return Status::Error(path + ": snapshot weight '" + name +
+                             "' has out-of-range int8 codes");
+      }
       snapshot.qweights.emplace_back(std::move(name), std::move(qw));
     } else {
       return Status::Error(path + ": snapshot weight '" + name +
@@ -458,6 +485,17 @@ StatusOr<Snapshot> Snapshot::Load(const std::string& path) {
   if (!header.ok()) return header.status();
   const uint64_t payload_size = header.value().payload_size;
 
+  // The payload buffer is sized from the header; check the claim against
+  // the file before allocating it.
+  in.seekg(0, std::ios::end);
+  const uint64_t file_payload =
+      static_cast<uint64_t>(in.tellg()) - kHeaderSize;
+  in.seekg(kHeaderSize);
+  if (file_payload < payload_size) {
+    return Status::Error(path + ": truncated snapshot payload (expected " +
+                         std::to_string(payload_size) + " bytes, got " +
+                         std::to_string(file_payload) + ")");
+  }
   std::string payload(payload_size, '\0');
   in.read(payload.data(), static_cast<std::streamsize>(payload_size));
   if (static_cast<uint64_t>(in.gcount()) != payload_size) {

@@ -20,6 +20,7 @@ namespace {
 
 constexpr int32_t kQMin = -127;
 constexpr int32_t kQMax = 127;
+constexpr float kConvertLimit = 2147483648.0f;  // 2^31
 
 // One row: pick (scale, zero_point) so [min, max] maps onto [-127, 127],
 // then code every element. Returns the sum of the codes.
@@ -50,10 +51,16 @@ int32_t QuantizeRow(const float* row, int64_t cols, int8_t* q, float* scale,
     // int8 GEMM saved. (At exact representability boundaries the +-0.5
     // trick can land one code off lround's ideal answer — irrelevant for a
     // quantizer and still fully deterministic.)
+    //
+    // The rounded value saturates at ±2^31 before the integer conversion and
+    // the zero point is added in 64 bits, so a NaN, infinite or huge product
+    // (a degenerate row, or activations of a corrupt model) cannot overflow;
+    // any product within int32 range codes as plain truncation plus zp.
     const float v = row[j] * inv_s;
-    const int32_t code =
-        std::clamp(static_cast<int32_t>(v + std::copysign(0.5f, v)) + zp,
-                   kQMin, kQMax);
+    const float rounded = std::fmin(
+        std::fmax(v + std::copysign(0.5f, v), -kConvertLimit), kConvertLimit);
+    const int32_t code = static_cast<int32_t>(std::clamp<int64_t>(
+        static_cast<int64_t>(rounded) + zp, kQMin, kQMax));
     q[j] = static_cast<int8_t>(code);
     sum += code;
   }

@@ -10,7 +10,7 @@ namespace rotom {
 namespace quant {
 
 // int8 row-quantized tensors and the exact integer GEMM underneath the
-// quantized inference path (serve/qforward.cc, DESIGN.md §12).
+// quantized inference path (serve/encoder.cc, DESIGN.md §12).
 //
 // Scheme: asymmetric per-row affine quantization into [-127, 127],
 //

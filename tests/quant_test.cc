@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,6 +74,21 @@ TEST_F(QuantTest, ConstantAndZeroRowsAreExact) {
   std::vector<float> deq(x.size());
   quant::Dequantize(q, deq.data());
   for (size_t i = 0; i < x.size(); ++i) EXPECT_FLOAT_EQ(deq[i], x[i]) << i;
+}
+
+TEST_F(QuantTest, NonFiniteAndHugeRowsSaturateInsteadOfOverflowing) {
+  // Activations of a corrupt model can be NaN, infinite or huge; codes must
+  // stay in [-127, 127] with no overflowing conversion (the ASan/UBSan build
+  // reports one).
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> x = {0.0f,  1.0f,  std::nanf(""), 2.0f,
+                                0.0f,  1.0f,  inf,           2.0f,
+                                1e30f, 1e30f, 1e30f,         -1e-30f};
+  const quant::QuantizedTensor q = quant::QuantizeRows(x.data(), 3, 4);
+  for (int8_t code : q.data) {
+    EXPECT_GE(code, -127);
+    EXPECT_LE(code, 127);
+  }
 }
 
 TEST_F(QuantTest, RowSumsMatchManualSums) {

@@ -1,9 +1,10 @@
 // Tests for the serve subsystem (DESIGN.md §10): snapshot save/load
 // round-trip fidelity, Status-based rejection of malformed snapshot files,
-// the thread-safe InferenceSession, the lifecycle of a one-tenant
-// TenantServer — the single-model serving shape — (including the 8-thread
-// concurrent load shape run under TSan by scripts/check.sh), and the
-// rotom::api facade's spec validation.
+// the thread-safe InferenceSession and its packed forward (bit-identical
+// to the autograd model, independent of batch companions), the lifecycle
+// of a one-tenant TenantServer — the single-model serving shape —
+// (including the 8-thread concurrent load shape run under TSan by
+// scripts/check.sh), and the rotom::api facade's spec validation.
 
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "data/textcls_gen.h"
 #include "obs/metrics.h"
 #include "rotom/api.h"
+#include "tensor/variable.h"
 
 namespace rotom {
 namespace {
@@ -56,11 +58,15 @@ text::IdfTable ServeIdf() {
                                 {"brilliant", "acting"}});
 }
 
-Snapshot MakeSnapshot(uint64_t seed = 1) {
+Snapshot SnapshotFor(const models::ClassifierConfig& config, uint64_t seed) {
   Rng rng(seed);
-  models::TransformerClassifier model(ServeConfig(), ServeVocab(), rng);
+  models::TransformerClassifier model(config, ServeVocab(), rng);
   model.SetTraining(false);
   return Snapshot::FromModel(model, ServeIdf());
+}
+
+Snapshot MakeSnapshot(uint64_t seed = 1) {
+  return SnapshotFor(ServeConfig(), seed);
 }
 
 const std::vector<std::string>& QueryTexts() {
@@ -68,6 +74,82 @@ const std::vector<std::string>& QueryTexts() {
       "the movie was great", "the plot was boring", "brilliant acting",
       "a terrible movie of boring acting"};
   return texts;
+}
+
+// Two-layer configs for the packing tests: the first layer runs on every
+// token, the last on [CLS] queries only. The second config's model and head
+// widths (12 and 4) are not multiples of a SIMD vector, so kernel tails run.
+std::vector<models::ClassifierConfig> PackingConfigs() {
+  models::ClassifierConfig even = ServeConfig();
+  even.num_layers = 2;
+  models::ClassifierConfig odd = even;
+  odd.dim = 12;
+  odd.num_heads = 3;
+  odd.ffn_dim = 20;
+  return {even, odd};
+}
+
+// A snapshot for the packing tests. Fresh models have zero biases and unit
+// norms, which would hide an op-order change in a bias add or a norm; every
+// weight gets noise so each one reaches the logits.
+Snapshot PackingSnapshot(const models::ClassifierConfig& config,
+                         uint64_t seed) {
+  Snapshot snapshot = SnapshotFor(config, seed);
+  Rng rng(seed + 100);
+  for (auto& [name, weight] : snapshot.weights) {
+    for (int64_t i = 0; i < weight.size(); ++i)
+      weight.data()[i] += 0.1f * static_cast<float>(rng.Normal());
+  }
+  return snapshot;
+}
+
+// `n` vocabulary words, cycling.
+std::string Words(int n) {
+  static const char* kWords[] = {"the", "movie", "was", "great", "plot",
+                                 "acting", "boring", "brilliant"};
+  std::string text;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) text += ' ';
+    text += kWords[i % 8];
+  }
+  return text;
+}
+
+// Rows of every length class for ServeConfig's max_len of 12: an empty text
+// ([CLS] and [SEP] only), one word, a [SEP] pair with overlap flags, 10
+// words (exactly max_len tokens) and 15 words (truncated past it).
+const std::vector<std::string>& PackingTexts() {
+  static const std::vector<std::string> texts = [] {
+    std::vector<std::string> t = {
+        "", "brilliant", "the movie was great [SEP] the movie was boring",
+        Words(10), Words(15)};
+    t.insert(t.end(), QueryTexts().begin(), QueryTexts().end());
+    return t;
+  }();
+  return texts;
+}
+
+// The autograd model's logits on the padded batch: what the session's
+// packed forward must reproduce bit for bit.
+Tensor ReferenceLogits(const Snapshot& snapshot,
+                       const std::vector<std::string>& texts) {
+  auto model = snapshot.BuildModel();
+  EXPECT_TRUE(model.ok()) << model.status().message();
+  Rng rng(0);
+  NoGradGuard no_tape;
+  return model.value()
+      ->ForwardLogitsEncoded(text::EncodeBatchForClassifier(
+                                 *snapshot.vocab, texts,
+                                 snapshot.config.max_len),
+                             rng)
+      .value();
+}
+
+void ExpectBitIdentical(const Tensor& got, const Tensor& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << what << " element " << i;
 }
 
 std::string TempPath(const std::string& name) {
@@ -255,6 +337,130 @@ TEST(SnapshotTest, BuildModelRejectsMismatchedWeights) {
   missing.weights.pop_back();
   auto short_result = missing.BuildModel();
   ASSERT_FALSE(short_result.ok());
+}
+
+TEST(SnapshotTest, SessionCreateRejectsMismatchedWeightsInBothPrecisions) {
+  // The session never builds the autograd model, so it checks the weight
+  // list itself, in either precision and from either snapshot generation.
+  auto quantized = serve::QuantizeSnapshot(MakeSnapshot());
+  ASSERT_TRUE(quantized.ok());
+  auto swap_names = [](auto& weights, const std::string& a,
+                       const std::string& b) {
+    for (auto& [name, weight] : weights) {
+      if (name == a) {
+        name = b;
+      } else if (name == b) {
+        name = a;
+      }
+    }
+  };
+  std::vector<std::pair<std::string, Snapshot>> broken;
+  broken.emplace_back("missing", MakeSnapshot());
+  broken.back().second.weights.pop_back();
+  broken.emplace_back("renamed", MakeSnapshot());
+  broken.back().second.weights[0].first += "_renamed";
+  broken.emplace_back("surplus", MakeSnapshot());
+  broken.back().second.weights.emplace_back("extra.weight", Tensor({2}));
+  broken.emplace_back("duplicate", MakeSnapshot());
+  broken.back().second.weights.push_back(broken.back().second.weights[0]);
+  // [d, ffn] and [ffn, d] swapped: both present, both wrongly shaped.
+  broken.emplace_back("reshaped", MakeSnapshot());
+  swap_names(broken.back().second.weights, "encoder.layer0.ffn.in.weight",
+             "encoder.layer0.ffn.out.weight");
+  broken.emplace_back("int8 missing", quantized.value());
+  broken.back().second.qweights.pop_back();
+  broken.emplace_back("int8 reshaped", quantized.value());
+  swap_names(broken.back().second.qweights, "encoder.layer0.ffn.in.weight",
+             "encoder.layer0.ffn.out.weight");
+
+  for (const auto& [what, snapshot] : broken) {
+    for (auto precision : {InferenceSession::Precision::kFloat32,
+                           InferenceSession::Precision::kInt8}) {
+      InferenceSession::Options options;
+      options.precision = precision;
+      auto session = InferenceSession::Create(snapshot, options);
+      ASSERT_FALSE(session.ok()) << what;
+      EXPECT_NE(session.status().message().find("weight"), std::string::npos)
+          << what << ": " << session.status().message();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Packed forward: only real tokens run, with the padded model's numbers
+
+TEST(PackedForwardTest, F32LogitsEqualTheAutogradModelBitForBit) {
+  for (const auto& config : PackingConfigs()) {
+    const Snapshot snapshot = PackingSnapshot(config, 3);
+    auto session = InferenceSession::Create(snapshot);
+    ASSERT_TRUE(session.ok()) << session.status().message();
+    ExpectBitIdentical(session.value()->Logits(PackingTexts()),
+                       ReferenceLogits(snapshot, PackingTexts()),
+                       "dim " + std::to_string(config.dim));
+  }
+}
+
+// Same-length companion for a row: its words in reverse order.
+std::string ReverseWords(const std::string& text) {
+  std::vector<std::string> words;
+  std::string word;
+  for (char c : text + " ") {
+    if (c != ' ') {
+      word += c;
+    } else if (!word.empty()) {
+      words.push_back(word);
+      word.clear();
+    }
+  }
+  std::string out;
+  for (auto it = words.rbegin(); it != words.rend(); ++it)
+    out += (out.empty() ? "" : " ") + *it;
+  return out;
+}
+
+TEST(PackedForwardTest, RowLogitsDoNotDependOnBatchCompanions) {
+  // TenantServer coalescing and the bench answer checks rely on a row's
+  // answer being the same bits alone, next to longer rows, or among rows of
+  // its own length.
+  const std::vector<std::string>& texts = PackingTexts();
+  for (const auto& config : PackingConfigs()) {
+    for (auto precision : {InferenceSession::Precision::kFloat32,
+                           InferenceSession::Precision::kInt8}) {
+      InferenceSession::Options options;
+      options.precision = precision;
+      auto session =
+          InferenceSession::Create(PackingSnapshot(config, 4), options);
+      ASSERT_TRUE(session.ok()) << session.status().message();
+      const Tensor together = session.value()->Logits(texts);
+      const int64_t classes = together.size(1);
+      for (size_t i = 0; i < texts.size(); ++i) {
+        const std::vector<std::string> same_length = {ReverseWords(texts[i]),
+                                                      texts[i]};
+        const Tensor alone =
+            session.value()->Logits(std::span<const std::string>(&texts[i], 1));
+        const Tensor pair = session.value()->Logits(same_length);
+        for (int64_t c = 0; c < classes; ++c) {
+          const float want = alone[c];
+          EXPECT_EQ(together[static_cast<int64_t>(i) * classes + c], want)
+              << "mixed batch, row " << i;
+          EXPECT_EQ(pair[classes + c], want) << "same-length batch, row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedForwardTest, ForwardTokensCountsRealTokens) {
+  auto session = InferenceSession::Create(MakeSnapshot());
+  ASSERT_TRUE(session.ok()) << session.status().message();
+  obs::Histogram& tokens = obs::GetHistogram("serve.forward_tokens");
+  const uint64_t count = tokens.Count();
+  const uint64_t sum = tokens.Sum();
+  // [CLS] [SEP]; [CLS] brilliant acting [SEP]; 15 words cut to max_len 12.
+  const std::vector<std::string> texts = {"", "brilliant acting", Words(15)};
+  session.value()->Logits(texts);
+  EXPECT_EQ(tokens.Count(), count + 1);
+  EXPECT_EQ(tokens.Sum(), sum + 2 + 4 + 12);
 }
 
 // ---------------------------------------------------------------------------
@@ -666,7 +872,7 @@ TEST(ApiTest, TrainRejectsOutOfRangeLabels) {
 
 // The full facade lifecycle at test scale: Train -> Snapshot::Save ->
 // InferenceSession::Open -> PredictBatch, with the session serving the
-// training-time logits bit for bit.
+// trained model's logits bit for bit.
 TEST(ApiTest, TrainExportServeLifecycle) {
   const data::TaskDataset dataset = TinyApiDataset();
   api::TrainSpec spec;
@@ -690,10 +896,9 @@ TEST(ApiTest, TrainExportServeLifecycle) {
   std::vector<std::string> queries;
   for (size_t i = 0; i < 5 && i < dataset.test.size(); ++i)
     queries.push_back(dataset.test[i].text);
-  const Tensor a = direct.value()->Logits(queries);
-  const Tensor b = opened.value()->Logits(queries);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (int64_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+  const Tensor want = ReferenceLogits(report.value().snapshot, queries);
+  ExpectBitIdentical(direct.value()->Logits(queries), want, "in memory");
+  ExpectBitIdentical(opened.value()->Logits(queries), want, "reopened");
 
   const auto predictions = opened.value()->PredictBatch(queries);
   ASSERT_EQ(predictions.size(), queries.size());

@@ -48,7 +48,9 @@
 // so only the per-forward dispatch overhead amortizes and the honest
 // ceiling is ~1.3x. BENCH_serve.json records `cores` and `pool_threads`
 // alongside the qps numbers so downstream tooling can interpret the ratio;
-// see EXPERIMENTS.md "Serve bench".
+// see EXPERIMENTS.md "Serve bench". Every record also carries
+// `tokens_per_request`: the real tokens its forwards ran per request (from
+// serve.forward_tokens), the work basis a forward's cost scales with.
 //
 // Output: a console table plus BENCH_serve.json (rotom-bench-v2 schema; the
 // metrics section carries the serve.tenant.<t>.* instruments, the
@@ -138,16 +140,28 @@ struct LoadResult {
   double wall_seconds = 0.0;
   uint64_t rejected = 0;   // server responses that came back as an error
   uint64_t incorrect = 0;  // labels matching no published version
+  uint64_t tokens = 0;     // real tokens the window's forwards ran
   double qps() const {
     return wall_seconds > 0.0 ? static_cast<double>(requests) / wall_seconds
                               : 0.0;
   }
+  double tokens_per_request() const {
+    return requests > 0 ? static_cast<double>(tokens) /
+                              static_cast<double>(requests)
+                        : 0.0;
+  }
 };
+
+// Running total of real tokens through every session's forwards.
+uint64_t ForwardTokens() {
+  return obs::GetHistogram("serve.forward_tokens").Sum();
+}
 
 // Serial baseline: one thread, one request per PredictBatch call.
 LoadResult RunSerial(const serve::InferenceSession& session,
                      const std::vector<std::string>& pool, double seconds) {
   LoadResult result;
+  const uint64_t tokens_before = ForwardTokens();
   const double start = Now();
   const double deadline = start + seconds;
   size_t i = 0;
@@ -159,6 +173,7 @@ LoadResult RunSerial(const serve::InferenceSession& session,
     ++result.requests;
   }
   result.wall_seconds = Now() - start;
+  result.tokens = ForwardTokens() - tokens_before;
   return result;
 }
 
@@ -188,6 +203,7 @@ LoadResult RunServer(serve::TenantServer& server,
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> completed{0}, rejected{0}, incorrect{0};
   std::vector<std::thread> threads;
+  const uint64_t tokens_before = ForwardTokens();
   const double start = Now();
   for (int64_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
@@ -214,6 +230,7 @@ LoadResult RunServer(serve::TenantServer& server,
   result.requests = completed.load();
   result.rejected = rejected.load();
   result.incorrect = incorrect.load();
+  result.tokens = ForwardTokens() - tokens_before;
   return result;
 }
 
@@ -415,7 +432,8 @@ int Main() {
         .Field("requests", static_cast<int64_t>(r.requests))
         .Field("wall_seconds", r.wall_seconds)
         .Field("qps", r.qps())
-        .Field("steps_per_sec", r.qps());
+        .Field("steps_per_sec", r.qps())
+        .Field("tokens_per_request", r.tokens_per_request());
   };
   record("serve/serial", "serial", "f32", 1, 1, serial);
   json.EndRecord();
