@@ -59,7 +59,7 @@ if [[ "$mode" == "all" || "$mode" == "thread" ]]; then
     --target thread_pool_test kernels_test autograd_test \
              encoding_cache_test obs_test pipeline_determinism_test \
              serve_test registry_test obs_http_test servelog_test \
-             stream_test
+             stream_test train_loop_test trajectory_golden_test
   # Force a multi-threaded pool even on single-CPU hosts so TSan actually
   # sees concurrent kernel execution, cache hammering, sharded metric
   # writes, prefetch threads, the micro-batching server's worker +
@@ -81,6 +81,8 @@ if [[ "$mode" == "all" || "$mode" == "thread" ]]; then
     ROTOM_NUM_THREADS=$threads ./build-tsan/tests/obs_http_test
     ROTOM_NUM_THREADS=$threads ./build-tsan/tests/servelog_test
     ROTOM_NUM_THREADS=$threads ./build-tsan/tests/stream_test
+    ROTOM_NUM_THREADS=$threads ./build-tsan/tests/train_loop_test
+    ROTOM_NUM_THREADS=$threads ./build-tsan/tests/trajectory_golden_test
   done
 fi
 

@@ -18,14 +18,16 @@ class ExampleStream;  // stream/stream.h
 namespace core {
 
 /// Streaming (step-budgeted) training mode: instead of epochs over a
-/// materialized TaskDataset::train, the trainer pulls labeled examples from
-/// an ExampleStream pipeline (stream/stream.h) for `max_steps` optimizer
-/// steps, validating every `valid_every` steps against the materialized
-/// valid split. The stream replaces only the *train* split — valid/test
-/// and the unlabeled SSL pool stay materialized.
+/// materialized TaskDataset::train, the trainer's step loop (train_loop.h)
+/// takes its batches from an ExampleStream pipeline (stream/stream.h) for
+/// `max_steps` optimizer steps, validating every `valid_every` steps against
+/// the materialized valid split. Only the batch source changes: the step,
+/// validation rounds and best-weights selection are the epoch mode's. The
+/// stream replaces only the *train* split — valid/test and the unlabeled SSL
+/// pool stay materialized.
 ///
 /// Like `op_set`, this is a semantic knob: the example order differs from
-/// the epoch loop's Fisher-Yates shuffle, so determinism holds per
+/// the epoch source's Fisher-Yates shuffle, so determinism holds per
 /// configuration (same stream spec + seeds → bit-identical run), not
 /// across streaming/epoch modes.
 struct StreamingOptions {
@@ -83,11 +85,9 @@ struct PipelineOptions {
   size_t cache_rows = 1 << 16;
 
   /// Materialize the next batch (augmentation + encoding) on a background
-  /// thread while the current step trains. Off = produce inline, same code.
+  /// thread while the current step trains (double buffering). Off = produce
+  /// inline, same code.
   bool prefetch = true;
-
-  /// Queue depth of the prefetcher; 2 = double buffering.
-  size_t prefetch_depth = 2;
 
   /// Directory for per-run flight-recorder JSONL logs (obs/runlog.h). Empty
   /// falls back to the ROTOM_RUNLOG_DIR environment variable; when both are
@@ -107,7 +107,7 @@ struct PipelineOptions {
   std::string op_set = "default";
 
   /// Streaming step-budget mode (see StreamingOptions above). Defaults to
-  /// disabled (null source) = the epoch loop.
+  /// disabled (null source) = the epoch batch source.
   StreamingOptions streaming;
 
   bool cache_enabled() const { return cache_rows > 0; }

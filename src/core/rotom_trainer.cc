@@ -6,14 +6,11 @@
 #include <utility>
 
 #include "core/ssl.h"
-#include "core/train_checkpoint.h"
+#include "core/train_loop.h"
 #include "nn/optim.h"
-#include "obs/metrics.h"
 #include "obs/runlog.h"
 #include "obs/trace.h"
-#include "stream/stream.h"
 #include "util/logging.h"
-#include "util/prefetcher.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -45,9 +42,9 @@ struct StreamBatch {
 };
 
 // Gathers tuples [begin, end) into a StreamBatch and encodes the joint
-// [originals; augmented] view. Shared by the epoch-mode prefetch producer
-// (slicing the shuffled per-epoch candidate vector) and the streaming
-// producer (batching freshly pulled tuples).
+// [originals; augmented] view. Shared by the epoch source (slicing the
+// shuffled per-epoch candidate vector) and the stream source (batching
+// freshly pulled tuples).
 StreamBatch AssembleStreamBatch(const std::vector<Candidate>& tuples,
                                 size_t begin, size_t end,
                                 text::EncodingCache& cache) {
@@ -65,17 +62,6 @@ StreamBatch AssembleStreamBatch(const std::vector<Candidate>& tuples,
   batch.joint = text::AssembleEncodedBatch(cache, joint_texts);
   return batch;
 }
-
-// Streaming producer output: the batch plus the stream cursors captured
-// right after its examples were pulled. The capture rides WITH the batch
-// (producer side) because the prefetcher runs ahead of the consumer — the
-// checkpointable position is the state of the last *consumed* batch, not
-// whatever the producer has raced ahead to.
-struct ProducedBatch {
-  StreamBatch batch;
-  stream::StreamState state;
-  std::string error;  // non-empty = the stream failed; fatal
-};
 
 std::vector<Tensor> CloneValues(const std::vector<Variable>& params) {
   std::vector<Tensor> out;
@@ -148,13 +134,6 @@ Variable RunForward(bool tape, const Forward& forward) {
   return forward();
 }
 
-// Distinct per-purpose seed streams of the streaming mode, split from the
-// run seed: candidate generation (indexed by global example draw), and
-// per-step training stochasticity (indexed by global step). Constants are
-// arbitrary but frozen — changing either breaks resume of old checkpoints.
-constexpr uint64_t kStreamGenSalt = 0x526f746f6d477331ULL;
-constexpr uint64_t kStreamStepSalt = 0x526f746f6d537432ULL;
-
 }  // namespace
 
 RotomTrainer::RotomTrainer(models::TransformerClassifier* model,
@@ -178,9 +157,6 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
 
 TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
                                 const TaggedCandidateGenerator& candidates) {
-  const StreamingOptions& streaming = options_.pipeline.streaming;
-  ROTOM_CHECK(streaming.enabled() || !ds.train.empty());
-  ROTOM_CHECK(!ds.valid.empty());
   ROTOM_CHECK(candidates != nullptr);
   ROTOM_TRACE_SPAN("rotom.train");
   WallTimer timer;
@@ -212,37 +188,26 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
   const auto cache = MakeEncodingCache(options_.pipeline, &model_->vocab(),
                                        model_->config().max_len);
 
-  auto runlog = obs::RunLog::Open({options_.pipeline.runlog_dir, "rotom"});
-  if (runlog) {
-    obs::RunLogManifest manifest;
-    manifest.Set("trainer", "rotom")
-        .Set("epochs", options_.epochs)
-        .Set("batch_size", options_.batch_size)
-        .Set("lr", static_cast<double>(options_.lr))
-        .Set("meta_lr", static_cast<double>(options_.meta_lr))
-        .Set("filter_lr", static_cast<double>(options_.filter_lr))
-        .Set("epsilon", static_cast<double>(options_.epsilon))
-        .Set("use_filtering", options_.use_filtering)
-        .Set("use_weighting", options_.use_weighting)
-        .Set("use_ssl", options_.use_ssl)
-        .Set("include_original", options_.include_original)
-        .Set("augments_per_example", options_.augments_per_example)
-        .Set("meta_update_every", options_.meta_update_every)
-        .Set("seed", static_cast<int64_t>(options_.seed))
-        .Set("threads", static_cast<int64_t>(ComputeThreads()))
-        .Set("train_examples", static_cast<int64_t>(ds.train.size()))
-        .Set("valid_examples", static_cast<int64_t>(ds.valid.size()))
-        .Set("unlabeled_examples", static_cast<int64_t>(ds.unlabeled.size()))
-        .Set("num_classes", model_->config().num_classes);
-    if (streaming.enabled()) {
-      manifest.Set("streaming", true)
-          .Set("max_steps", streaming.max_steps)
-          .Set("valid_every", streaming.valid_every);
-      if (!streaming.resume_from.empty())
-        manifest.Set("resumed_from", streaming.resume_from);
-    }
-    runlog->WriteManifest(manifest);
-  }
+  obs::RunLogManifest manifest;
+  manifest.Set("trainer", "rotom")
+      .Set("epochs", options_.epochs)
+      .Set("batch_size", options_.batch_size)
+      .Set("lr", static_cast<double>(options_.lr))
+      .Set("meta_lr", static_cast<double>(options_.meta_lr))
+      .Set("filter_lr", static_cast<double>(options_.filter_lr))
+      .Set("epsilon", static_cast<double>(options_.epsilon))
+      .Set("use_filtering", options_.use_filtering)
+      .Set("use_weighting", options_.use_weighting)
+      .Set("use_ssl", options_.use_ssl)
+      .Set("include_original", options_.include_original)
+      .Set("augments_per_example", options_.augments_per_example)
+      .Set("meta_update_every", options_.meta_update_every)
+      .Set("seed", static_cast<int64_t>(options_.seed))
+      .Set("threads", static_cast<int64_t>(ComputeThreads()))
+      .Set("train_examples", static_cast<int64_t>(ds.train.size()))
+      .Set("valid_examples", static_cast<int64_t>(ds.valid.size()))
+      .Set("unlabeled_examples", static_cast<int64_t>(ds.unlabeled.size()))
+      .Set("num_classes", model_->config().num_classes);
 
   std::vector<std::string> unlabeled = ds.unlabeled;
   if (static_cast<int64_t>(unlabeled.size()) > options_.max_unlabeled) {
@@ -251,9 +216,6 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
   }
   const bool ssl_active = options_.use_ssl && !unlabeled.empty();
 
-  TrainResult result;
-  NamedTensors best_state = model_->StateDict();
-  double best_metric = -1.0;
   size_t valid_cursor = 0;
   // Moving-average baseline for the REINFORCE estimator (standard variance
   // reduction for Eq. 3; without it the always-positive validation loss
@@ -261,17 +223,15 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
   double reward_baseline = 0.0;
   bool baseline_ready = false;
 
-  // Per-round filter accounting. The epoch loop resets these at every epoch
-  // (last_keep_fraction_ is a per-epoch aggregate); the streaming loop
-  // resets them at every validation round.
+  // Per-round filter accounting (last_keep_fraction_ is a per-round
+  // aggregate), reset at every round boundary.
   int64_t kept_count = 0, total_count = 0;
-  int64_t step_index = 0;  // meta-update cadence counter
 
+  TrainLoopHooks<StreamBatch> hooks;
   // ---- One optimizer step: Algorithm 2 phases 1 and 2 over a prepared
-  // batch. Shared verbatim by the epoch loop (which threads its sequential
-  // run Rng through every step) and the streaming loop (which derives an
-  // independent per-step Rng so a resumed run replays identically). ----
-  auto run_step = [&](StreamBatch batch, Rng& rng, int64_t epoch) {
+  // batch. The loop supplies the step's Rng, round and meta cadence. ----
+  hooks.step = [&](StreamBatch batch, Rng& rng, const StepInfo& info,
+                   obs::RunLogStep* record) {
     const int64_t b = static_cast<int64_t>(batch.labels.size());
     const std::vector<int64_t>& labels = batch.labels;
     const std::vector<bool>& is_original = batch.is_original;
@@ -335,7 +295,7 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     // ---- Optional SSL batch (Section 5): guessed labels, no filter. ----
     std::vector<std::string> ssl_texts;
     Tensor ssl_targets;
-    if (ssl_active && epoch >= options_.ssl_warmup_epochs) {
+    if (ssl_active && info.round >= options_.ssl_warmup_epochs) {
       ROTOM_TRACE_SPAN("rotom.ssl");
       std::vector<std::string> pool;
       const int64_t ssl_pool_size = std::max<int64_t>(
@@ -467,7 +427,7 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
           return weighting_->WeightsEncoded(all_batch, l2, rng);
         });
         weights = ops::NormalizeMeanOne(w_raw);
-        if (runlog) step_weights = weights.value().Clone();
+        if (record) step_weights = weights.value().Clone();
       } else {
         weights = Variable(Tensor::Ones({n_all}), false);
       }
@@ -491,46 +451,39 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     const std::vector<Tensor> g_train = CloneGrads(model_params);
     opt_model.Step();
     const std::vector<Tensor> w_post = CloneValues(model_params);
-    result.loss_history.push_back(loss_value);
-    ++result.steps;
 
-    if (runlog) {
-      obs::RunLogStep record;
-      record.step = result.steps;
-      record.epoch = epoch;
-      record.loss = static_cast<double>(loss_value);
-      record.lr = static_cast<double>(options_.lr);
-      record.grad_norm = static_cast<double>(grad_norm);
-      record.keep_rate = static_cast<double>(kept_rows.size()) /
-                         static_cast<double>(b);
+    if (record) {
+      record->lr = static_cast<double>(options_.lr);
+      record->grad_norm = static_cast<double>(grad_norm);
+      record->keep_rate = static_cast<double>(kept_rows.size()) /
+                          static_cast<double>(b);
       if (options_.use_weighting && step_weights.size() > 0) {
-        record.has_weights = true;
+        record->has_weights = true;
         double sum = 0.0;
-        record.weight_min = record.weight_max = step_weights[0];
+        record->weight_min = record->weight_max = step_weights[0];
         for (int64_t i = 0; i < step_weights.size(); ++i) {
           const double w = static_cast<double>(step_weights[i]);
-          record.weight_min = std::min(record.weight_min, w);
-          record.weight_max = std::max(record.weight_max, w);
+          record->weight_min = std::min(record->weight_min, w);
+          record->weight_max = std::max(record->weight_max, w);
           sum += w;
         }
-        record.weight_mean = sum / static_cast<double>(step_weights.size());
+        record->weight_mean = sum / static_cast<double>(step_weights.size());
       }
       for (int64_t row : kept_rows) {
         const std::string& op = batch.ops[row];
-        if (!op.empty()) ++record.op_counts[op];
+        if (!op.empty()) ++record->op_counts[op];
       }
       for (int64_t i = 0; i < b; ++i) {
         const std::string& op = batch.ops[i];
-        if (!op.empty()) ++record.op_offered[op];
+        if (!op.empty()) ++record->op_offered[op];
       }
-      runlog->LogStep(record);
     }
 
     // ---- Phase 2: update M_F and M_W (lines 8-11). ----
     const bool meta_step =
         (options_.use_filtering || options_.use_weighting) &&
-        (step_index % std::max<int64_t>(1, options_.meta_update_every) == 0);
-    ++step_index;
+        (info.cadence % std::max<int64_t>(1, options_.meta_update_every) ==
+         0);
     if (meta_step) {
       ROTOM_TRACE_SPAN("rotom.weighting");
       // Virtual step M' = M - eta * grad (line 8).
@@ -621,283 +574,114 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
       opt_model.ZeroGrad();
       model_->SetTraining(true);
     }
+    return loss_value;
   };
 
-  if (!streaming.enabled()) {
-    // ==== Epoch mode: the paper's materialize-then-iterate loop. ====
-    for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      // Fresh candidate stream per epoch, generated in parallel: example i
-      // augments under its own Rng stream split from one epoch seed, so the
-      // stream is identical at any thread count (and to the serial path).
-      const uint64_t epoch_seed = rng.Next64();
-      const int64_t n_train = static_cast<int64_t>(ds.train.size());
-      std::vector<std::vector<TaggedCandidate>> augs_per_example(
-          ds.train.size());
-      {
-        ROTOM_TRACE_SPAN("rotom.augment");
-        ComputePool().ParallelFor(n_train, 1, [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            Rng ex_rng(SplitSeed(epoch_seed, static_cast<uint64_t>(i)));
-            auto augs = candidates(ds.train[i].text, ex_rng);
-            if (static_cast<int64_t>(augs.size()) >
-                options_.augments_per_example)
-              augs.resize(options_.augments_per_example);
-            augs_per_example[i] = std::move(augs);
-          }
-        });
-      }
-      std::vector<Candidate> stream;
-      for (int64_t i = 0; i < n_train; ++i) {
-        const auto& example = ds.train[i];
-        if (options_.include_original) {
-          stream.push_back({example.text, example.text, "original",
-                            example.label, true});
-        }
-        for (auto& aug : augs_per_example[i]) {
-          stream.push_back({example.text, std::move(aug.text),
-                            std::move(aug.op), example.label, false});
-        }
-      }
-      rng.Shuffle(stream);
-
-      // Double-buffered batch materialization: while step t trains, the
-      // prefetch thread gathers and encodes batch t+1 (encoding consumes no
-      // randomness, so this moves work off the critical path without
-      // touching the training trajectory).
-      const size_t batch_size = static_cast<size_t>(options_.batch_size);
-      const size_t num_batches =
-          (stream.size() + batch_size - 1) / batch_size;
-      auto produce = [&](size_t bi) -> StreamBatch {
-        // Runs on the prefetch thread when prefetch is on; the trace view
-        // shows it overlapping the training phases of the previous step.
-        ROTOM_TRACE_SPAN("rotom.encode");
-        const size_t begin = bi * batch_size;
-        const size_t end = std::min(begin + batch_size, stream.size());
-        return AssembleStreamBatch(stream, begin, end, *cache);
-      };
-      Prefetcher<StreamBatch> prefetcher(produce, num_batches,
-                                         options_.pipeline.prefetch,
-                                         options_.pipeline.prefetch_depth);
-
-      kept_count = 0;
-      total_count = 0;
-      step_index = 0;
-      model_->SetTraining(true);
-
-      while (auto next = prefetcher.Next()) {
-        run_step(std::move(*next), rng, epoch);
-      }
-
-      last_keep_fraction_ =
-          total_count > 0
-              ? static_cast<double>(kept_count) /
-                    static_cast<double>(total_count)
-              : 1.0;
-
-      const double valid_metric =
-          eval::EvaluateModel(*model_, ds.valid, metric_, cache.get());
-      if (runlog) runlog->LogEpoch(epoch, valid_metric, last_keep_fraction_);
-      if (valid_metric > best_metric) {
-        best_metric = valid_metric;
-        best_state = model_->StateDict();
-      }
-      ++result.epochs_run;
+  // Appends an example's tuples: the example itself (include_original) and
+  // its first augments_per_example candidates.
+  auto append_tuples = [&](const data::Example& example,
+                           std::vector<TaggedCandidate> augs,
+                           std::vector<Candidate>& tuples) {
+    if (static_cast<int64_t>(augs.size()) > options_.augments_per_example)
+      augs.resize(options_.augments_per_example);
+    if (options_.include_original) {
+      tuples.push_back(
+          {example.text, example.text, "original", example.label, true});
     }
-  } else {
-    // ==== Streaming mode: step budget over an ExampleStream pipeline
-    // (SOTASTREAM-style; DESIGN.md §14). Examples are pulled and augmented
-    // on the fly by the prefetch producer; validation, checkpoint selection,
-    // and stream-state checkpointing happen every `valid_every` steps. ====
-    stream::ExampleStream& source = *streaming.source;
-    const int64_t max_steps = streaming.max_steps;
-    ROTOM_CHECK_GT(max_steps, 0);
-    const int64_t valid_every =
-        streaming.valid_every > 0
-            ? streaming.valid_every
-            : std::max<int64_t>(
-                  1, (max_steps + std::max<int64_t>(1, options_.epochs) - 1) /
-                         std::max<int64_t>(1, options_.epochs));
-    const uint64_t gen_seed = SplitSeed(options_.seed, kStreamGenSalt);
-    const uint64_t step_salt = SplitSeed(options_.seed, kStreamStepSalt);
-
-    int64_t start_step = 0;
-    if (!streaming.resume_from.empty()) {
-      auto loaded = TrainCheckpoint::Load(streaming.resume_from);
-      ROTOM_CHECK_MSG(loaded.ok(), loaded.status().message().c_str());
-      const TrainCheckpoint& ckpt = loaded.value();
-      model_->LoadStateDict(ckpt.tensors(), "model.");
-      filtering_->LoadStateDict(ckpt.tensors(), "filter.");
-      weighting_->LoadStateDict(ckpt.tensors(), "weight.");
-      auto require_int = [&](const char* key) {
-        auto v = ckpt.GetInt(key);
-        ROTOM_CHECK_MSG(v.ok(), key);
-        return v.value();
-      };
-      auto load_opt = [&](nn::Adam& opt, const std::string& prefix) {
-        auto s = opt.LoadStateTensors(ckpt.tensors(), prefix,
-                                      require_int((prefix + "step").c_str()));
-        ROTOM_CHECK_MSG(s.ok(), s.message().c_str());
-      };
-      load_opt(opt_model, "opt_model.");
-      load_opt(opt_filter, "opt_filter.");
-      load_opt(opt_weight, "opt_weight.");
-      best_state.clear();
-      for (const auto& [name, tensor] : ckpt.tensors()) {
-        if (name.rfind("best.", 0) == 0) {
-          best_state.emplace_back(name.substr(5), tensor.Clone());
-        }
-      }
-      auto best = ckpt.GetDouble("best_metric");
-      ROTOM_CHECK(best.ok());
-      best_metric = best.value();
-      valid_cursor = static_cast<size_t>(require_int("valid_cursor"));
-      auto baseline = ckpt.GetDouble("reward_baseline");
-      ROTOM_CHECK(baseline.ok());
-      reward_baseline = baseline.value();
-      baseline_ready = require_int("baseline_ready") != 0;
-      result.epochs_run = require_int("epochs_run");
-      start_step = require_int("step");
-      auto stream_scalar = ckpt.GetScalar("stream");
-      ROTOM_CHECK(stream_scalar.ok());
-      auto target = stream::StreamState::Parse(stream_scalar.value());
-      ROTOM_CHECK_MSG(target.ok(), target.status().message().c_str());
-      Status replayed = stream::RestoreByReplay(source, target.value());
-      ROTOM_CHECK_MSG(replayed.ok(), replayed.message().c_str());
+    for (auto& aug : augs) {
+      tuples.push_back({example.text, std::move(aug.text), std::move(aug.op),
+                        example.label, false});
     }
-    ROTOM_CHECK_LE(start_step, max_steps);
+  };
 
-    // Originals pulled per batch so that originals + augmented candidates
-    // fill roughly batch_size tuples, matching the epoch loop's density.
-    const int64_t tuples_per_pull =
-        options_.augments_per_example + (options_.include_original ? 1 : 0);
-    const int64_t pulls_per_batch = std::max<int64_t>(
-        1, options_.batch_size / std::max<int64_t>(1, tuples_per_pull));
+  // ---- Epoch source: the paper's materialize-then-iterate epoch. ----
+  std::vector<Candidate> epoch_tuples;
+  hooks.begin_epoch = [&](Rng& rng) {
+    // Fresh candidates per epoch, generated in parallel: example i augments
+    // under its own Rng stream split from one epoch seed, so the candidates
+    // are identical at any thread count (and to the serial path).
+    const uint64_t epoch_seed = rng.Next64();
+    std::vector<std::vector<TaggedCandidate>> augs_per_example(
+        ds.train.size());
+    {
+      ROTOM_TRACE_SPAN("rotom.augment");
+      ComputePool().ParallelFor(
+          static_cast<int64_t>(ds.train.size()), 1,
+          [&](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i) {
+              Rng ex_rng(SplitSeed(epoch_seed, static_cast<uint64_t>(i)));
+              augs_per_example[i] = candidates(ds.train[i].text, ex_rng);
+            }
+          });
+    }
+    epoch_tuples.clear();
+    for (size_t i = 0; i < ds.train.size(); ++i) {
+      append_tuples(ds.train[i], std::move(augs_per_example[i]),
+                    epoch_tuples);
+    }
+    rng.Shuffle(epoch_tuples);
+    return epoch_tuples.size();
+  };
+  hooks.epoch_batch = [&](size_t begin, size_t end) {
+    // The trace view shows this overlapping the previous step's phases.
+    ROTOM_TRACE_SPAN("rotom.encode");
+    return AssembleStreamBatch(epoch_tuples, begin, end, *cache);
+  };
 
-    // Capture the resume-point cursors BEFORE the prefetcher exists: its
-    // producer thread starts pulling immediately and owns the stream from
-    // then on.
-    stream::StreamState consumed_state = stream::CaptureState(source);
+  // ---- Stream source (SOTASTREAM-style; DESIGN.md §14): candidates are
+  // generated on the fly under per-draw seeds. Originals pulled per batch
+  // so that originals + candidates fill roughly batch_size tuples, matching
+  // the epoch source's density. ----
+  const int64_t tuples_per_pull =
+      options_.augments_per_example + (options_.include_original ? 1 : 0);
+  hooks.pulls_per_batch = std::max<int64_t>(
+      1, options_.batch_size / std::max<int64_t>(1, tuples_per_pull));
+  hooks.stream_batch = [&](const std::vector<DrawnExample>& drawn) {
+    std::vector<Candidate> tuples;
+    for (const DrawnExample& d : drawn) {
+      Rng ex_rng(d.seed);
+      append_tuples(d.example, candidates(d.example.text, ex_rng), tuples);
+    }
+    return AssembleStreamBatch(tuples, 0, tuples.size(), *cache);
+  };
 
-    auto produce = [&](size_t) -> ProducedBatch {
-      // Runs on the prefetch thread: pull originals, generate candidates
-      // on the fly (per-draw split seeds — SOTASTREAM's per-worker
-      // augmentation), encode, and snapshot the stream cursors.
-      ROTOM_TRACE_SPAN("stream.batch");
-      ProducedBatch out;
-      std::vector<Candidate> tuples;
-      for (int64_t j = 0; j < pulls_per_batch; ++j) {
-        const uint64_t draw_index = static_cast<uint64_t>(source.draws());
-        auto example = source.Next();
-        if (!example.ok()) {
-          out.error = example.status().message();
-          return out;
-        }
-        Rng ex_rng(SplitSeed(gen_seed, draw_index));
-        auto augs = candidates(example.value().text, ex_rng);
-        if (static_cast<int64_t>(augs.size()) > options_.augments_per_example)
-          augs.resize(options_.augments_per_example);
-        if (options_.include_original) {
-          tuples.push_back({example.value().text, example.value().text,
-                            "original", example.value().label, true});
-        }
-        for (auto& aug : augs) {
-          tuples.push_back({example.value().text, std::move(aug.text),
-                            std::move(aug.op), example.value().label, false});
-        }
-      }
-      out.batch = AssembleStreamBatch(tuples, 0, tuples.size(), *cache);
-      out.state = stream::CaptureState(source);
-      return out;
-    };
-    Prefetcher<ProducedBatch> prefetcher(
-        produce, static_cast<size_t>(max_steps - start_step),
-        options_.pipeline.prefetch, options_.pipeline.prefetch_depth);
-
+  hooks.end_round = [&] {
+    last_keep_fraction_ = total_count > 0
+                              ? static_cast<double>(kept_count) /
+                                    static_cast<double>(total_count)
+                              : 1.0;
     kept_count = 0;
     total_count = 0;
-    int64_t global_step = start_step;
-    model_->SetTraining(true);
+    return last_keep_fraction_;
+  };
 
-    for (;;) {
-      WallTimer wait_timer;
-      auto next = prefetcher.Next();
-      obs::GetHistogram("stream.stall_us")
-          .Record(static_cast<uint64_t>(wait_timer.Seconds() * 1e6));
-      if (!next) break;
-      ProducedBatch produced = std::move(*next);
-      ROTOM_CHECK_MSG(produced.error.empty(), produced.error.c_str());
-      const int64_t round = global_step / valid_every;
-      // Independent per-step randomness: a resumed run re-derives the same
-      // stream for step k that the uninterrupted run used.
-      step_index = global_step;
-      Rng step_rng(SplitSeed(step_salt, static_cast<uint64_t>(global_step)));
-      run_step(std::move(produced.batch), step_rng, round);
-      consumed_state = std::move(produced.state);
-      ++global_step;
+  hooks.save_state = [&](TrainCheckpoint& ckpt) {
+    ckpt.SetInt("valid_cursor", static_cast<int64_t>(valid_cursor));
+    ckpt.SetDouble("reward_baseline", reward_baseline);
+    ckpt.SetInt("baseline_ready", baseline_ready ? 1 : 0);
+    ckpt.AddTensors(filtering_->StateDict("filter."));
+    ckpt.AddTensors(weighting_->StateDict("weight."));
+    ckpt.AddOptimizer("opt_filter.", opt_filter);
+    ckpt.AddOptimizer("opt_weight.", opt_weight);
+  };
+  hooks.load_state = [&](const TrainCheckpoint& ckpt) {
+    filtering_->LoadStateDict(ckpt.tensors(), "filter.");
+    weighting_->LoadStateDict(ckpt.tensors(), "weight.");
+    ckpt.LoadOptimizer("opt_filter.", opt_filter);
+    ckpt.LoadOptimizer("opt_weight.", opt_weight);
+    valid_cursor = static_cast<size_t>(ckpt.GetInt("valid_cursor").value());
+    reward_baseline = ckpt.GetDouble("reward_baseline").value();
+    baseline_ready = ckpt.GetInt("baseline_ready").value() != 0;
+  };
 
-      if (global_step % valid_every == 0 || global_step == max_steps) {
-        const int64_t round_done = (global_step - 1) / valid_every;
-        last_keep_fraction_ =
-            total_count > 0
-                ? static_cast<double>(kept_count) /
-                      static_cast<double>(total_count)
-                : 1.0;
-        const double valid_metric =
-            eval::EvaluateModel(*model_, ds.valid, metric_, cache.get());
-        if (runlog)
-          runlog->LogEpoch(round_done, valid_metric, last_keep_fraction_);
-        if (valid_metric > best_metric) {
-          best_metric = valid_metric;
-          best_state = model_->StateDict();
-        }
-        ++result.epochs_run;
-        kept_count = 0;
-        total_count = 0;
-        if (runlog) {
-          runlog->LogStreamState(global_step, round_done,
-                                 consumed_state.Serialize());
-        }
-        if (!streaming.checkpoint_path.empty()) {
-          TrainCheckpoint ckpt;
-          ckpt.SetInt("step", global_step);
-          ckpt.SetInt("valid_cursor", static_cast<int64_t>(valid_cursor));
-          ckpt.SetDouble("reward_baseline", reward_baseline);
-          ckpt.SetInt("baseline_ready", baseline_ready ? 1 : 0);
-          ckpt.SetDouble("best_metric", best_metric);
-          ckpt.SetInt("epochs_run", result.epochs_run);
-          ckpt.SetInt("opt_model.step", opt_model.step_count());
-          ckpt.SetInt("opt_filter.step", opt_filter.step_count());
-          ckpt.SetInt("opt_weight.step", opt_weight.step_count());
-          ckpt.SetScalar("stream", consumed_state.Serialize());
-          auto& tensors = ckpt.tensors();
-          for (auto& [name, t] : model_->StateDict("model."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : filtering_->StateDict("filter."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : weighting_->StateDict("weight."))
-            tensors.emplace_back(name, std::move(t));
-          for (const auto& [name, t] : best_state)
-            tensors.emplace_back("best." + name, t.Clone());
-          for (auto& [name, t] : opt_model.StateTensors("opt_model."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : opt_filter.StateTensors("opt_filter."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : opt_weight.StateTensors("opt_weight."))
-            tensors.emplace_back(name, std::move(t));
-          auto saved = ckpt.Save(streaming.checkpoint_path);
-          ROTOM_CHECK_MSG(saved.ok(), saved.message().c_str());
-          obs::GetCounter("stream.checkpoint.writes").Add();
-        }
-        model_->SetTraining(true);
-      }
-    }
-  }
-
-  model_->LoadStateDict(best_state);
-  model_->SetTraining(false);
-  result.best_valid_metric = best_metric;
+  TrainResult result =
+      TrainLoop({.model = model_, .optimizer = &opt_model, .ds = &ds,
+                 .metric = metric_, .cache = cache.get(),
+                 .pipeline = &options_.pipeline, .epochs = options_.epochs,
+                 .batch_size = options_.batch_size, .seed = options_.seed,
+                 .rng = &rng, .runlog_tag = "rotom", .manifest = manifest})
+          .Run(hooks);
   result.seconds = timer.Seconds();
-  if (runlog) result.runlog_path = runlog->path();
   return result;
 }
 

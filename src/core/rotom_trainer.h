@@ -116,7 +116,7 @@ class RotomTrainer {
   const WeightingModel& weighting_model() const { return *weighting_; }
 
   /// Fraction of augmented examples the filter kept, averaged over the last
-  /// epoch (diagnostic).
+  /// round: an epoch, or a streaming run's validation round (diagnostic).
   double last_keep_fraction() const { return last_keep_fraction_; }
 
  private:

@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <utility>
+
+#include "util/check.h"
 
 namespace rotom {
 namespace core {
@@ -101,6 +104,23 @@ const Tensor* TrainCheckpoint::FindTensor(const std::string& name) const {
     if (entry.first == name) return &entry.second;
   }
   return nullptr;
+}
+
+void TrainCheckpoint::AddTensors(NamedTensors tensors) {
+  for (auto& entry : tensors) tensors_.push_back(std::move(entry));
+}
+
+void TrainCheckpoint::AddOptimizer(const std::string& prefix,
+                                   const nn::Adam& optimizer) {
+  SetInt(prefix + "step", optimizer.step_count());
+  AddTensors(optimizer.StateTensors(prefix));
+}
+
+void TrainCheckpoint::LoadOptimizer(const std::string& prefix,
+                                    nn::Adam& optimizer) const {
+  Status status = optimizer.LoadStateTensors(
+      tensors_, prefix, GetInt(prefix + "step").value());
+  ROTOM_CHECK_MSG(status.ok(), status.message().c_str());
 }
 
 Status TrainCheckpoint::Save(const std::string& path) const {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/optim.h"
 #include "tensor/serialize.h"
 #include "util/status.h"
 
@@ -36,6 +37,14 @@ class TrainCheckpoint {
   const NamedTensors& tensors() const { return tensors_; }
   /// Tensor lookup by exact name; nullptr when absent.
   const Tensor* FindTensor(const std::string& name) const;
+
+  /// Appends tensors whose names already carry their prefix.
+  void AddTensors(NamedTensors tensors);
+  /// Adds an optimizer's moments and its step count ("<prefix>step").
+  void AddOptimizer(const std::string& prefix, const nn::Adam& optimizer);
+  /// Restores what AddOptimizer wrote under `prefix`; CHECK-fails on a
+  /// missing or mis-shaped entry.
+  void LoadOptimizer(const std::string& prefix, nn::Adam& optimizer) const;
 
   /// Writes "<path>.tmp" then renames over `path`.
   Status Save(const std::string& path) const;

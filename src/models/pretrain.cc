@@ -72,8 +72,7 @@ float PretrainMaskedLm(TransformerClassifier& model,
                                            texts.begin() + end));
     };
     Prefetcher<text::EncodedBatch> prefetcher(produce, num_batches,
-                                              options.pipeline.prefetch,
-                                              options.pipeline.prefetch_depth);
+                                              options.pipeline.prefetch);
     while (auto next = prefetcher.Next()) {
       if (options.max_steps >= 0 && steps >= options.max_steps) break;
       text::EncodedBatch batch = std::move(*next);
@@ -238,8 +237,7 @@ float PretrainSameOrigin(TransformerClassifier& model,
   };
   Prefetcher<PairBatch> prefetcher(produce,
                                    static_cast<size_t>(options.steps),
-                                   options.pipeline.prefetch,
-                                   options.pipeline.prefetch_depth);
+                                   options.pipeline.prefetch);
 
   float last_loss = 0.0f;
   int64_t steps = 0;

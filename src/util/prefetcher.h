@@ -24,8 +24,8 @@ namespace rotom {
 /// Items are delivered strictly in production order, and producers must be
 /// deterministic functions of their own state (per-example RNG streams split
 /// from the epoch seed — never a shared sequential Rng), so the consumer
-/// sees the exact item sequence the serial path would compute. `depth` = 2
-/// gives classic double buffering.
+/// sees the exact item sequence the serial path would compute. The queue
+/// holds kDepth = 2 items: classic double buffering.
 ///
 /// With `enabled = false` the producer runs inline inside Next() on the
 /// caller's thread — same code, no thread — which is both the fallback for
@@ -45,8 +45,8 @@ namespace rotom {
 /// `producer` must outlive the Prefetcher (stack order in the trainers).
 ///
 /// Determinism: items are delivered strictly in index order and the
-/// producer draws no shared randomness, so enabling/disabling prefetch (or
-/// varying `depth`) never changes the item sequence — only timing. The
+/// producer draws no shared randomness, so enabling/disabling prefetch never
+/// changes the item sequence — only timing. The
 /// observability counters below (produced/blocked/starved; see
 /// OBSERVABILITY.md) are timing diagnostics and do not feed back into
 /// production order.
@@ -56,12 +56,10 @@ class Prefetcher {
   /// `producer(i)` must return the i-th item (i counts from 0) and is called
   /// exactly `total` times. When `enabled`, calls happen on a background
   /// thread; the producer must not touch consumer-side state.
-  Prefetcher(std::function<T(size_t)> producer, size_t total, bool enabled,
-             size_t depth = 2)
+  Prefetcher(std::function<T(size_t)> producer, size_t total, bool enabled)
       : producer_(std::move(producer)),
         total_(total),
-        enabled_(enabled && total > 0 && ComputeThreads() > 1),
-        depth_(depth < 1 ? 1 : depth) {
+        enabled_(enabled && total > 0 && ComputeThreads() > 1) {
     if (enabled_) worker_ = std::thread([this] { Run(); });
   }
 
@@ -111,14 +109,14 @@ class Prefetcher {
     for (size_t i = 0; i < total_; ++i) {
       {
         std::unique_lock<std::mutex> lock(mu_);
-        if (!cancelled_ && queue_.size() >= depth_) {
+        if (!cancelled_ && queue_.size() >= kDepth) {
           // Backpressure: the queue is full and the producer has to stall.
           static obs::Counter& producer_blocked =
               obs::GetCounter("prefetcher.producer_blocked");
           producer_blocked.Add(1);
         }
         space_cv_.wait(lock,
-                       [this] { return cancelled_ || queue_.size() < depth_; });
+                       [this] { return cancelled_ || queue_.size() < kDepth; });
         if (cancelled_) return;
       }
       // Produce outside the lock so the consumer can drain concurrently.
@@ -134,10 +132,11 @@ class Prefetcher {
     }
   }
 
+  static constexpr size_t kDepth = 2;  // items produced ahead of the consumer
+
   std::function<T(size_t)> producer_;
   const size_t total_;
   const bool enabled_;
-  const size_t depth_;
   size_t consumed_ = 0;
 
   std::mutex mu_;

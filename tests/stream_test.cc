@@ -414,7 +414,7 @@ void ExpectIdentical(const core::TrainResult& reference,
   ASSERT_EQ(reference.loss_history.size(), candidate.loss_history.size())
       << label;
   for (size_t i = 0; i < reference.loss_history.size(); ++i) {
-    // Bit-identical, not approximately equal: prefetch depth and thread
+    // Bit-identical, not approximately equal: prefetching and thread
     // count must not touch the trajectory at all.
     ASSERT_EQ(reference.loss_history[i], candidate.loss_history[i])
         << label << " diverged at step " << i;
