@@ -18,6 +18,7 @@
 
 #include "eval/experiment.h"
 #include "obs/metrics.h"
+#include "obs/runlog.h"
 
 namespace rotom {
 namespace bench {
@@ -167,7 +168,7 @@ inline ServeTenantTotals SumServeTenants(const obs::SnapshotData& snapshot) {
 class JsonWriter {
  public:
   JsonWriter& Field(const std::string& key, const std::string& value) {
-    return Raw(key, "\"" + Escaped(value) + "\"");
+    return Raw(key, obs::internal::JsonQuoted(value));
   }
   JsonWriter& Field(const std::string& key, const char* value) {
     return Field(key, std::string(value));
@@ -263,30 +264,10 @@ class JsonWriter {
  private:
   JsonWriter& Raw(const std::string& key, const std::string& rendered) {
     if (!current_.empty()) current_ += ", ";
-    current_ += "\"" + Escaped(key) + "\": " + rendered;
+    current_ += obs::internal::JsonQuoted(key);
+    current_ += ": ";
+    current_ += rendered;
     return *this;
-  }
-
-  static std::string Escaped(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
   }
 
   std::string current_;

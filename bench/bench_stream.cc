@@ -5,8 +5,7 @@
 // (one materialized epoch's worth of steps). Two claims are measured:
 //
 //   throughput  streamed steps/sec stays within noise of materialized —
-//               the pull-based pipeline + prefetch ring adds no per-step
-//               cost;
+//               the pull-based pipeline adds no per-step cost;
 //   footprint   streamed peak RSS is flat in corpus size (the resident set
 //               is the shuffle buffer + encoding cache of the rows actually
 //               touched), while materialized grows with every scale.

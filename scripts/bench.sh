@@ -5,9 +5,9 @@
 # BENCH_opspace.json, BENCH_stream.json, BENCH_serve.json) in the repo root.
 #
 # bench_figure4_training_time runs every (domain, method) cell twice — once
-# with the pipelined data path (encoding cache + background prefetch), once
-# serial — so the steps/sec ratio in its summary table is the pipeline
-# speedup. Losses are bit-identical between the two configurations.
+# with the encoding cache on ('[pipeline]'), once with it off ('[serial]') —
+# so the steps/sec ratio in its summary table is the cache's speedup. Losses
+# are bit-identical between the two configurations.
 #
 # Usage:
 #   scripts/bench.sh            # full budgets (slow)

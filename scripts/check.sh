@@ -4,7 +4,11 @@
 # encoding cache, metrics/tracing, training pipeline) under TSan and runs
 # them at several pool sizes, checks the observability docs gate, and
 # finishes with the perf-smoke bench label. Each configuration gets its own
-# build tree so the trees stay incremental across runs.
+# build tree so the trees stay incremental across runs. The sanitizer and
+# scalar trees build with warnings as errors (CMake's
+# CMAKE_COMPILE_WARNING_AS_ERROR, which leaves configure-time probes such as
+# the SIMD check alone); the shared `build` tree that the perf modes reuse
+# keeps its own settings.
 #
 # Usage:
 #   scripts/check.sh            # all configurations
@@ -44,7 +48,8 @@ if [[ "$mode" == "all" || "$mode" == "address" ]]; then
   asan_generator=("${generator[@]}")
   if [[ -f build-asan/CMakeCache.txt ]]; then asan_generator=(); fi
   cmake -B build-asan -S . "${asan_generator[@]}" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DROTOM_SANITIZE=address
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DROTOM_SANITIZE=address \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build build-asan -j
   ctest --test-dir build-asan --output-on-failure -j
 fi
@@ -54,20 +59,21 @@ if [[ "$mode" == "all" || "$mode" == "thread" ]]; then
   tsan_generator=("${generator[@]}")
   if [[ -f build-tsan/CMakeCache.txt ]]; then tsan_generator=(); fi
   cmake -B build-tsan -S . "${tsan_generator[@]}" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DROTOM_SANITIZE=thread
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DROTOM_SANITIZE=thread \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build build-tsan -j \
     --target thread_pool_test kernels_test autograd_test \
              encoding_cache_test obs_test pipeline_determinism_test \
              serve_test registry_test obs_http_test servelog_test \
              stream_test train_loop_test trajectory_golden_test
   # Force a multi-threaded pool even on single-CPU hosts so TSan actually
-  # sees concurrent kernel execution, cache hammering, sharded metric
-  # writes, prefetch threads, the micro-batching server's worker +
-  # 8 closed-loop submitter threads, the registry's client threads
-  # racing repeated hot-swaps, and the serving observability surface
-  # (the /metrics listener thread + the flight recorder's lock-free
-  # append path), and the streaming pipeline's producer thread feeding
-  # batches across the prefetch ring, live under that same load.
+  # sees concurrent kernel execution, encoding-cache hammering, sharded
+  # metric writes, the trainers' augmenters running on pool workers in both
+  # batch sources, a one-tenant TenantServer's worker against 8
+  # closed-loop client threads, the registry's client threads racing
+  # repeated hot-swaps, and the serving observability surface (the
+  # /metrics listener thread + the flight recorder's lock-free append
+  # path), live under that same load.
   for threads in 2 4; do
     echo "-- ROTOM_NUM_THREADS=$threads"
     ROTOM_NUM_THREADS=$threads ./build-tsan/tests/thread_pool_test
@@ -90,7 +96,8 @@ if [[ "$mode" == "all" || "$mode" == "scalar" ]]; then
   echo "== scalar: full test suite with ROTOM_SIMD=OFF =="
   scalar_generator=("${generator[@]}")
   if [[ -f build-scalar/CMakeCache.txt ]]; then scalar_generator=(); fi
-  cmake -B build-scalar -S . "${scalar_generator[@]}" -DROTOM_SIMD=OFF
+  cmake -B build-scalar -S . "${scalar_generator[@]}" -DROTOM_SIMD=OFF \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build build-scalar -j
   ctest --test-dir build-scalar --output-on-failure -j
 fi

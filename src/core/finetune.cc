@@ -17,10 +17,8 @@ namespace core {
 
 namespace {
 
-// One prefetched training batch: labels plus the encoded views the active
-// AugMode consumes (originals for kNone/kMixDa, augmented for
-// kReplace/kMixDa). Built entirely from strings + the encoding cache, so it
-// can be materialized on the prefetch thread while the previous step trains.
+// One training batch: labels plus the encoded views the active AugMode
+// consumes (originals for kNone/kMixDa, augmented for kReplace/kMixDa).
 struct FinetuneBatch {
   std::vector<int64_t> labels;
   text::EncodedBatch originals;
@@ -90,21 +88,14 @@ TrainResult FinetuneTrainer::Train(const data::TaskDataset& ds,
   hooks.begin_epoch = [&](Rng& rng) {
     if (train.empty()) train = ds.train;  // a stream run never copies it
     rng.Shuffle(train);
-    // Materialize the epoch's augmentations up front on the compute pool.
-    // Each example owns an Rng stream split from one epoch seed, so the
-    // result is the same at any thread count — and identical to what a
-    // serial loop over the same streams would produce.
-    augmented.assign(need_augmented ? train.size() : 0, std::string());
+    // Materialize the epoch's augmentations up front: example i draws from
+    // its own Rng stream split from one epoch seed.
     if (need_augmented) {
       ROTOM_TRACE_SPAN("finetune.augment");
       const uint64_t epoch_seed = rng.Next64();
-      ComputePool().ParallelFor(
-          static_cast<int64_t>(train.size()), 1, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              Rng ex_rng(SplitSeed(epoch_seed, static_cast<uint64_t>(i)));
-              augmented[i] = augmenter(train[i].text, ex_rng);
-            }
-          });
+      augmented = AugmentEach(
+          train.size(), [&](size_t i) { return SplitSeed(epoch_seed, i); },
+          [&](size_t i, Rng& r) { return augmenter(train[i].text, r); });
     }
     return train.size();
   };
@@ -115,12 +106,14 @@ TrainResult FinetuneTrainer::Train(const data::TaskDataset& ds,
   hooks.pulls_per_batch = std::max<int64_t>(1, options_.batch_size);
   hooks.stream_batch = [&](const std::vector<DrawnExample>& drawn) {
     std::vector<data::Example> examples;
+    for (const DrawnExample& d : drawn) examples.push_back(d.example);
     std::vector<std::string> augs;
-    for (const DrawnExample& d : drawn) {
-      examples.push_back(d.example);
-      if (!need_augmented) continue;
-      Rng ex_rng(d.seed);
-      augs.push_back(augmenter(d.example.text, ex_rng));
+    if (need_augmented) {
+      augs = AugmentEach(
+          drawn.size(), [&](size_t i) { return drawn[i].seed; },
+          [&](size_t i, Rng& r) {
+            return augmenter(drawn[i].example.text, r);
+          });
     }
     return assemble(examples, augs, 0, examples.size());
   };

@@ -59,41 +59,35 @@ struct StreamingOptions {
 };
 
 /// Configuration of the training data pipeline shared by RotomTrainer,
-/// FinetuneTrainer, and the pretraining loops. The pipeline is a pure
-/// performance layer: every setting combination produces bit-identical
-/// training trajectories (augmentation uses per-example RNG streams split
-/// from the epoch seed, encoding consumes no randomness, and the cache only
-/// memoizes pure functions), so these knobs trade memory and threads for
-/// wall-clock only — with one flagged exception, `op_set`, which selects the
-/// augmentation-operator space itself (see its comment below).
-/// pipeline_determinism_test enforces this — including with
-/// the obs metrics/tracing layer recording, which is held to the same
-/// contract (see obs/metrics.h).
+/// FinetuneTrainer, and the pretraining loops. Every batch is built on the
+/// thread that trains, right before its step; its augmentation fans out over
+/// the compute pool. The cache and the pool size are pure performance
+/// knobs: every combination produces bit-identical training trajectories
+/// (augmentation uses per-example RNG streams split from the epoch seed or
+/// the draw index, encoding consumes no randomness, and the cache only
+/// memoizes pure functions) — with one flagged exception, `op_set`, which
+/// selects the augmentation-operator space itself (see its comment below).
+/// pipeline_determinism_test enforces this — including with the obs
+/// metrics/tracing layer recording, which is held to the same contract (see
+/// obs/metrics.h).
 ///
 /// Thread-safety: PipelineOptions is plain data; copy it freely. The
-/// components it configures (EncodingCache, Prefetcher) document their own
-/// concurrency rules.
+/// EncodingCache it configures documents its own concurrency rules.
 ///
-/// Observability: whether each knob pays off is visible in the obs registry
-/// — cache effectiveness via `encoding_cache.hits`/`.misses`, prefetch
-/// health via `prefetcher.consumer_blocked` (steps that waited on data) and
-/// `prefetcher.producer_blocked` (queue full); per-phase wall time via the
-/// `span.*.us` histograms. See OBSERVABILITY.md for how to read them.
+/// Observability: whether the cache pays off is visible in the obs registry
+/// via `encoding_cache.hits`/`.misses`; the time each step spent building
+/// its batch via `stream.stall_us`; per-phase wall time via the `span.*.us`
+/// histograms. See OBSERVABILITY.md for how to read them.
 struct PipelineOptions {
   /// Memoize text encodings (ids + mask + overlap flags) across batches and
   /// epochs. 0 rows disables the cache.
   size_t cache_rows = 1 << 16;
 
-  /// Materialize the next batch (augmentation + encoding) on a background
-  /// thread while the current step trains (double buffering). Off = produce
-  /// inline, same code.
-  bool prefetch = true;
-
   /// Directory for per-run flight-recorder JSONL logs (obs/runlog.h). Empty
   /// falls back to the ROTOM_RUNLOG_DIR environment variable; when both are
   /// empty, run logging is off. The log's step/epoch events are themselves
   /// part of the determinism contract above: bit-identical across every
-  /// cache/prefetch/thread-count combination.
+  /// cache/thread-count combination.
   std::string runlog_dir;
 
   /// Operator-set spec resolved against augment::OperatorRegistry (grammar

@@ -28,11 +28,8 @@ struct Candidate {
   bool is_original;  // untouched training examples bypass the filter
 };
 
-// One prefetched training batch: the raw tuples plus the joint encoding of
+// One training batch: the raw tuples plus the joint encoding of
 // [originals; augmented] (2B rows) that feeds the fused meta-feature pass.
-// Everything here is a pure function of the candidate stream and the
-// encoding cache, so it is materialized on the prefetch thread while the
-// previous step trains.
 struct StreamBatch {
   std::vector<std::string> aug_texts;
   std::vector<std::string> ops;
@@ -134,7 +131,41 @@ Variable RunForward(bool tape, const Forward& forward) {
   return forward();
 }
 
+// Checks what RotomTrainer adds to the loop's checkpoint (its save_state
+// hook) against meta models shaped like the run's.
+Status CheckMetaState(const TrainCheckpoint& ckpt,
+                      const FilteringModel& filtering,
+                      const WeightingModel& weighting) {
+  for (const char* key : {"valid_cursor", "baseline_ready"}) {
+    if (auto value = ckpt.GetInt(key); !value.ok()) return value.status();
+  }
+  if (auto value = ckpt.GetDouble("reward_baseline"); !value.ok())
+    return value.status();
+  const std::pair<const char*, const nn::Module*> meta_models[] = {
+      {"filter", &filtering}, {"weight", &weighting}};
+  for (const auto& [name, module] : meta_models) {
+    const std::string prefix = name + std::string(".");
+    if (Status s = ckpt.CheckTensors(module->StateDict(prefix)); !s.ok())
+      return s;
+    if (Status s = ckpt.CheckOptimizer("opt_" + prefix, module->Parameters());
+        !s.ok())
+      return s;
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+Status RotomTrainer::CheckResumeCheckpoint(
+    const TrainCheckpoint& ckpt, const models::TransformerClassifier& model,
+    int64_t max_steps) {
+  if (Status s = core::CheckResumeCheckpoint(ckpt, model, max_steps); !s.ok())
+    return s;
+  Rng rng(0);  // the meta models are built for their shapes only
+  const FilteringModel filtering(model.config().num_classes, rng);
+  const WeightingModel weighting(model.config(), model.vocab_ptr(), rng);
+  return CheckMetaState(ckpt, filtering, weighting);
+}
 
 RotomTrainer::RotomTrainer(models::TransformerClassifier* model,
                            eval::MetricKind metric, RotomOptions options)
@@ -183,8 +214,8 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
   const int64_t num_classes = model_->config().num_classes;
 
   // One cache for the whole run: originals and validation texts are encoded
-  // exactly once, augmented candidates are encoded once by the prefetcher
-  // and hit again when the kept subset re-enters the training loss.
+  // exactly once, augmented candidates are encoded once when their batch is
+  // built and hit again when the kept subset re-enters the training loss.
   const auto cache = MakeEncodingCache(options_.pipeline, &model_->vocab(),
                                        model_->config().max_len);
 
@@ -357,8 +388,8 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     all_texts.insert(all_texts.end(), ssl_texts.begin(), ssl_texts.end());
     // Encode the meta batch once; the training loss (built up to three
     // times for the finite-difference passes) and the weighting model all
-    // read this same EncodedBatch. Kept texts were just encoded by the
-    // prefetcher, so these are cache hits.
+    // read this same EncodedBatch. Kept texts were just encoded with their
+    // batch, so these are cache hits.
     const text::EncodedBatch all_batch =
         text::AssembleEncodedBatch(*cache, all_texts);
 
@@ -597,22 +628,15 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
   // ---- Epoch source: the paper's materialize-then-iterate epoch. ----
   std::vector<Candidate> epoch_tuples;
   hooks.begin_epoch = [&](Rng& rng) {
-    // Fresh candidates per epoch, generated in parallel: example i augments
-    // under its own Rng stream split from one epoch seed, so the candidates
-    // are identical at any thread count (and to the serial path).
+    // Fresh candidates per epoch: example i augments under its own Rng
+    // stream split from one epoch seed.
     const uint64_t epoch_seed = rng.Next64();
-    std::vector<std::vector<TaggedCandidate>> augs_per_example(
-        ds.train.size());
+    std::vector<std::vector<TaggedCandidate>> augs_per_example;
     {
       ROTOM_TRACE_SPAN("rotom.augment");
-      ComputePool().ParallelFor(
-          static_cast<int64_t>(ds.train.size()), 1,
-          [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              Rng ex_rng(SplitSeed(epoch_seed, static_cast<uint64_t>(i)));
-              augs_per_example[i] = candidates(ds.train[i].text, ex_rng);
-            }
-          });
+      augs_per_example = AugmentEach(
+          ds.train.size(), [&](size_t i) { return SplitSeed(epoch_seed, i); },
+          [&](size_t i, Rng& r) { return candidates(ds.train[i].text, r); });
     }
     epoch_tuples.clear();
     for (size_t i = 0; i < ds.train.size(); ++i) {
@@ -623,7 +647,6 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     return epoch_tuples.size();
   };
   hooks.epoch_batch = [&](size_t begin, size_t end) {
-    // The trace view shows this overlapping the previous step's phases.
     ROTOM_TRACE_SPAN("rotom.encode");
     return AssembleStreamBatch(epoch_tuples, begin, end, *cache);
   };
@@ -637,11 +660,14 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
   hooks.pulls_per_batch = std::max<int64_t>(
       1, options_.batch_size / std::max<int64_t>(1, tuples_per_pull));
   hooks.stream_batch = [&](const std::vector<DrawnExample>& drawn) {
+    auto augs = AugmentEach(
+        drawn.size(), [&](size_t i) { return drawn[i].seed; },
+        [&](size_t i, Rng& r) {
+          return candidates(drawn[i].example.text, r);
+        });
     std::vector<Candidate> tuples;
-    for (const DrawnExample& d : drawn) {
-      Rng ex_rng(d.seed);
-      append_tuples(d.example, candidates(d.example.text, ex_rng), tuples);
-    }
+    for (size_t i = 0; i < drawn.size(); ++i)
+      append_tuples(drawn[i].example, std::move(augs[i]), tuples);
     return AssembleStreamBatch(tuples, 0, tuples.size(), *cache);
   };
 
@@ -665,6 +691,8 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     ckpt.AddOptimizer("opt_weight.", opt_weight);
   };
   hooks.load_state = [&](const TrainCheckpoint& ckpt) {
+    const Status fits = CheckMetaState(ckpt, *filtering_, *weighting_);
+    ROTOM_CHECK_MSG(fits.ok(), fits.message().c_str());
     filtering_->LoadStateDict(ckpt.tensors(), "filter.");
     weighting_->LoadStateDict(ckpt.tensors(), "weight.");
     ckpt.LoadOptimizer("opt_filter.", opt_filter);

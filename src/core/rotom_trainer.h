@@ -8,6 +8,7 @@
 
 #include "core/filtering.h"
 #include "core/finetune.h"
+#include "core/train_checkpoint.h"
 #include "core/weighting.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
@@ -63,8 +64,8 @@ struct RotomOptions {
 
   uint64_t seed = 1;
 
-  /// Data-path configuration (encoding cache + background prefetch). Pure
-  /// performance knobs: every combination yields bit-identical training.
+  /// Data-path configuration: the encoding cache, run logging, the operator
+  /// set and streaming (pipeline.h).
   PipelineOptions pipeline;
 };
 
@@ -111,6 +112,15 @@ class RotomTrainer {
                     const CandidateGenerator& candidates);
   TrainResult Train(const data::TaskDataset& ds,
                     const TaggedCandidateGenerator& candidates);
+
+  /// Checks, before anything is loaded, that `ckpt` can resume a streaming
+  /// run of this trainer on `model` for at most `max_steps` steps: what
+  /// CheckResumeCheckpoint (train_loop.h) checks, plus the scalars
+  /// `valid_cursor`, `reward_baseline` and `baseline_ready` and the meta
+  /// models' tensors and optimizers.
+  static Status CheckResumeCheckpoint(
+      const TrainCheckpoint& ckpt, const models::TransformerClassifier& model,
+      int64_t max_steps);
 
   const FilteringModel& filtering_model() const { return *filtering_; }
   const WeightingModel& weighting_model() const { return *weighting_; }

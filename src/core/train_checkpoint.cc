@@ -123,6 +123,25 @@ void TrainCheckpoint::LoadOptimizer(const std::string& prefix,
   ROTOM_CHECK_MSG(status.ok(), status.message().c_str());
 }
 
+Status TrainCheckpoint::CheckTensors(const NamedTensors& expected) const {
+  for (const auto& [name, tensor] : expected) {
+    const Tensor* found = FindTensor(name);
+    if (found == nullptr)
+      return Status::Error("checkpoint tensor '" + name + "' not found");
+    if (found->shape() != tensor.shape()) {
+      return Status::Error("checkpoint tensor '" + name +
+                           "' has the wrong shape");
+    }
+  }
+  return Status::Ok();
+}
+
+Status TrainCheckpoint::CheckOptimizer(
+    const std::string& prefix, const std::vector<Variable>& params) const {
+  if (auto step = GetInt(prefix + "step"); !step.ok()) return step.status();
+  return CheckTensors(nn::Adam(params, 0.0f).StateTensors(prefix));
+}
+
 Status TrainCheckpoint::Save(const std::string& path) const {
   const std::string tmp = path + ".tmp";
   {

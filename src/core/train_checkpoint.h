@@ -46,6 +46,14 @@ class TrainCheckpoint {
   /// missing or mis-shaped entry.
   void LoadOptimizer(const std::string& prefix, nn::Adam& optimizer) const;
 
+  /// Checks that every tensor of `expected` is here under its name and with
+  /// its shape; the error names the first one that is not.
+  Status CheckTensors(const NamedTensors& expected) const;
+  /// Checks what LoadOptimizer reads under `prefix` for an Adam over
+  /// `params`.
+  Status CheckOptimizer(const std::string& prefix,
+                        const std::vector<Variable>& params) const;
+
   /// Writes "<path>.tmp" then renames over `path`.
   Status Save(const std::string& path) const;
   static StatusOr<TrainCheckpoint> Load(const std::string& path);

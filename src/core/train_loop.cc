@@ -19,6 +19,31 @@ constexpr uint64_t kStreamStepSalt = 0x526f746f6d537432ULL;
 
 }  // namespace
 
+Status CheckResumeCheckpoint(const TrainCheckpoint& ckpt,
+                             const models::TransformerClassifier& model,
+                             int64_t max_steps) {
+  auto step = ckpt.GetInt("step");
+  if (!step.ok()) return step.status();
+  if (step.value() < 0 || step.value() > max_steps) {
+    return Status::Error("checkpoint step " + std::to_string(step.value()) +
+                         " is outside [0, " + std::to_string(max_steps) +
+                         "]");
+  }
+  if (auto best = ckpt.GetDouble("best_metric"); !best.ok())
+    return best.status();
+  if (auto epochs = ckpt.GetInt("epochs_run"); !epochs.ok())
+    return epochs.status();
+  auto state = ckpt.GetScalar("stream");
+  if (!state.ok()) return state.status();
+  if (auto parsed = stream::StreamState::Parse(state.value()); !parsed.ok())
+    return parsed.status();
+  for (const char* prefix : {"model.", "best."}) {
+    if (Status s = ckpt.CheckTensors(model.StateDict(prefix)); !s.ok())
+      return s;
+  }
+  return ckpt.CheckOptimizer("opt_model.", model.Parameters());
+}
+
 TrainLoop::TrainLoop(const TrainLoopContext& context)
     : context_(context),
       runlog_(obs::RunLog::Open(
@@ -57,43 +82,41 @@ void TrainLoop::Resume(
     const std::function<void(const TrainCheckpoint&)>& load_state) {
   if (stream_ == nullptr) return;
   const std::string& path = context_.pipeline->streaming.resume_from;
-  if (!path.empty()) {
-    auto loaded = TrainCheckpoint::Load(path);
-    ROTOM_CHECK_MSG(loaded.ok(), loaded.status().message().c_str());
-    const TrainCheckpoint& ckpt = loaded.value();
-    context_.model->LoadStateDict(ckpt.tensors(), "model.");
-    ckpt.LoadOptimizer("opt_model.", *context_.optimizer);
-    best_state_.clear();
-    for (const auto& [name, tensor] : ckpt.tensors()) {
-      if (name.rfind("best.", 0) == 0) {
-        best_state_.emplace_back(name.substr(5), tensor.Clone());
-      }
+  if (path.empty()) return;
+  auto loaded = TrainCheckpoint::Load(path);
+  ROTOM_CHECK_MSG(loaded.ok(), loaded.status().message().c_str());
+  const TrainCheckpoint& ckpt = loaded.value();
+  const Status fits =
+      CheckResumeCheckpoint(ckpt, *context_.model, max_steps_);
+  ROTOM_CHECK_MSG(fits.ok(), fits.message().c_str());
+  context_.model->LoadStateDict(ckpt.tensors(), "model.");
+  ckpt.LoadOptimizer("opt_model.", *context_.optimizer);
+  best_state_.clear();
+  for (const auto& [name, tensor] : ckpt.tensors()) {
+    if (name.rfind("best.", 0) == 0) {
+      best_state_.emplace_back(name.substr(5), tensor.Clone());
     }
-    best_metric_ = ckpt.GetDouble("best_metric").value();
-    result_.epochs_run = ckpt.GetInt("epochs_run").value();
-    step_ = ckpt.GetInt("step").value();
-    if (load_state) load_state(ckpt);
-    auto target =
-        stream::StreamState::Parse(ckpt.GetScalar("stream").value());
-    ROTOM_CHECK_MSG(target.ok(), target.status().message().c_str());
-    Status replayed = stream::RestoreByReplay(*stream_, target.value());
-    ROTOM_CHECK_MSG(replayed.ok(), replayed.message().c_str());
   }
-  ROTOM_CHECK_LE(step_, max_steps_);
-  // Captured before the prefetcher exists: its producer thread starts
-  // pulling at once and owns the stream from then on.
-  consumed_ = stream::CaptureState(*stream_);
+  best_metric_ = ckpt.GetDouble("best_metric").value();
+  result_.epochs_run = ckpt.GetInt("epochs_run").value();
+  step_ = ckpt.GetInt("step").value();
+  if (load_state) load_state(ckpt);
+  const Status replayed = stream::RestoreByReplay(
+      *stream_,
+      stream::StreamState::Parse(ckpt.GetScalar("stream").value()).value());
+  ROTOM_CHECK_MSG(replayed.ok(), replayed.message().c_str());
 }
 
-std::string TrainLoop::Pull(int64_t count, std::vector<DrawnExample>* drawn) {
+std::vector<DrawnExample> TrainLoop::Pull(int64_t count) {
+  std::vector<DrawnExample> drawn;
   for (int64_t j = 0; j < count; ++j) {
     const uint64_t draw_index = static_cast<uint64_t>(stream_->draws());
     auto example = stream_->Next();
-    if (!example.ok()) return example.status().message();
-    drawn->push_back({std::move(example).value(),
-                      SplitSeed(gen_seed_, draw_index)});
+    ROTOM_CHECK_MSG(example.ok(), example.status().message().c_str());
+    drawn.push_back({std::move(example).value(),
+                     SplitSeed(gen_seed_, draw_index)});
   }
-  return "";
+  return drawn;
 }
 
 void TrainLoop::RecordStep(float loss, int64_t round,
@@ -121,16 +144,17 @@ void TrainLoop::EndRound(
   }
   ++result_.epochs_run;
   if (stream_ != nullptr) {
-    if (runlog_) {
-      runlog_->LogStreamState(step_, round, consumed_.Serialize());
-    }
+    // Batches are built right before their step, so the stream's cursors
+    // are those after the last trained batch.
+    const std::string state = stream::CaptureState(*stream_).Serialize();
+    if (runlog_) runlog_->LogStreamState(step_, round, state);
     const std::string& path = context_.pipeline->streaming.checkpoint_path;
     if (!path.empty()) {
       TrainCheckpoint ckpt;
       ckpt.SetInt("step", step_);
       ckpt.SetDouble("best_metric", best_metric_);
       ckpt.SetInt("epochs_run", result_.epochs_run);
-      ckpt.SetScalar("stream", consumed_.Serialize());
+      ckpt.SetScalar("stream", state);
       ckpt.AddTensors(model.StateDict("model."));
       for (const auto& [name, t] : best_state_)
         ckpt.tensors().emplace_back("best." + name, t.Clone());

@@ -4,8 +4,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/finetune.h"
@@ -14,7 +14,7 @@
 #include "obs/runlog.h"
 #include "obs/trace.h"
 #include "stream/stream.h"
-#include "util/prefetcher.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rotom {
@@ -36,15 +36,29 @@ struct DrawnExample {
   uint64_t seed = 0;
 };
 
+/// Augments `n` examples across the compute pool: element i is
+/// `augment(i, rng)` with `rng` seeded by `seed(i)`. Each example draws only
+/// from its own Rng, so the result is the same at any thread count.
+template <typename Seed, typename Augment>
+auto AugmentEach(size_t n, const Seed& seed, const Augment& augment) {
+  std::vector<std::invoke_result_t<const Augment&, size_t, Rng&>> out(n);
+  ComputePool().ParallelFor(
+      static_cast<int64_t>(n), 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          Rng rng(seed(static_cast<size_t>(i)));
+          out[i] = augment(static_cast<size_t>(i), rng);
+        }
+      });
+  return out;
+}
+
 /// What a trainer plugs into the TrainLoop; `Batch` is what its step
-/// consumes. The two batch producers (`epoch_batch`, `stream_batch`) run on
-/// the prefetch thread: they draw no shared randomness and touch no state
-/// the step uses.
+/// consumes. Every hook runs on the thread that trains, in step order.
 template <typename Batch>
 struct TrainLoopHooks {
-  /// Epoch source: `begin_epoch` runs on the consumer thread before each
-  /// epoch, draws from the run Rng, materializes the epoch and returns its
-  /// size in items; `epoch_batch` assembles items [begin, end).
+  /// Epoch source: `begin_epoch` runs before each epoch, draws from the run
+  /// Rng, materializes the epoch and returns its size in items;
+  /// `epoch_batch` assembles items [begin, end).
   std::function<size_t(Rng& run_rng)> begin_epoch;
   std::function<Batch(size_t begin, size_t end)> epoch_batch;
   /// Stream source: one batch from `pulls_per_batch` pulled examples.
@@ -80,12 +94,22 @@ struct TrainLoopContext {
   obs::RunLogManifest manifest;
 };
 
+/// Checks that `ckpt` holds what TrainLoop reads to resume training `model`
+/// for at most `max_steps` steps, before any of it is loaded: the scalars
+/// `step` (in [0, max_steps]), `best_metric`, `epochs_run` and a parsable
+/// `stream` state, and `model.*`, `best.*` and `opt_model.*` under the names
+/// and shapes of the model's own checkpoint.
+Status CheckResumeCheckpoint(const TrainCheckpoint& ckpt,
+                             const models::TransformerClassifier& model,
+                             int64_t max_steps);
+
 /// The one step loop of FinetuneTrainer and RotomTrainer (DESIGN.md §8,
 /// §14). `pipeline.streaming.enabled()` picks the batch source: `epochs`
-/// rounds, each materialized and shuffled on the consumer thread then
-/// sliced into batches; or `max_steps` batches pulled from an ExampleStream,
-/// in rounds of `valid_every` steps. The prefetcher builds the next batch
-/// while a step trains.
+/// rounds, each materialized and shuffled then sliced into batches; or
+/// `max_steps` batches pulled from an ExampleStream, in rounds of
+/// `valid_every` steps. Each batch is built on the training thread right
+/// before its step; the trainers fan its augmentation out over the compute
+/// pool.
 ///
 /// The loop owns what the trainers share. Epoch mode threads the run's one
 /// sequential Rng through every step and restarts the meta cadence at every
@@ -103,8 +127,9 @@ class TrainLoop {
 
  private:
   void Resume(const std::function<void(const TrainCheckpoint&)>& load_state);
-  // Returns the stream's error, "" on success.
-  std::string Pull(int64_t count, std::vector<DrawnExample>* drawn);
+  // Pulls `count` examples with their augmentation seeds; a stream error is
+  // fatal.
+  std::vector<DrawnExample> Pull(int64_t count);
   void RecordStep(float loss, int64_t round, obs::RunLogStep& record);
   void EndRound(int64_t round, double keep_fraction,
                 const std::function<void(TrainCheckpoint&)>& save_state);
@@ -120,17 +145,11 @@ class TrainLoop {
   int64_t step_ = 0;  // global optimizer step
   double best_metric_ = -1.0;
   NamedTensors best_state_;
-  stream::StreamState consumed_;  // cursors after the last consumed batch
   TrainResult result_;
 };
 
 template <typename Batch>
 TrainResult TrainLoop::Run(const TrainLoopHooks<Batch>& hooks) {
-  struct Item {
-    Batch batch;
-    stream::StreamState state;  // stream cursors right after its pulls
-    std::string error;          // non-empty = the stream failed; fatal
-  };
   auto end_round = [&](int64_t round) {
     EndRound(round, hooks.end_round ? hooks.end_round() : -1.0,
              hooks.save_state);
@@ -138,49 +157,34 @@ TrainResult TrainLoop::Run(const TrainLoopHooks<Batch>& hooks) {
   Resume(hooks.load_state);
   const bool streaming = stream_ != nullptr;
   const size_t batch_size = static_cast<size_t>(context_.batch_size);
-  // An epoch is one prefetch pass and one round; a stream is one pass over
-  // all its rounds, as the producer reads ahead across their boundaries.
+  // An epoch is one round; a stream is one pass over all its rounds.
   for (int64_t epoch = 0; epoch < (streaming ? 1 : context_.epochs); ++epoch) {
     const size_t epoch_size = streaming ? 0 : hooks.begin_epoch(*context_.rng);
-    auto produce = [&](size_t i) -> Item {
+    auto produce = [&](size_t begin) -> Batch {
       if (!streaming) {
-        const size_t begin = i * batch_size;
-        const size_t end = std::min(begin + batch_size, epoch_size);
-        return {hooks.epoch_batch(begin, end), {}, {}};
+        return hooks.epoch_batch(begin,
+                                 std::min(begin + batch_size, epoch_size));
       }
       ROTOM_TRACE_SPAN("stream.batch");
-      Item item;
-      std::vector<DrawnExample> drawn;
-      item.error = Pull(hooks.pulls_per_batch, &drawn);
-      if (!item.error.empty()) return item;
-      item.batch = hooks.stream_batch(drawn);
-      item.state = stream::CaptureState(*stream_);
-      return item;
+      return hooks.stream_batch(Pull(hooks.pulls_per_batch));
     };
-    Prefetcher<Item> prefetcher(
-        produce,
-        streaming ? static_cast<size_t>(max_steps_ - step_)
-                  : (epoch_size + batch_size - 1) / batch_size,
-        context_.pipeline->prefetch);
     context_.model->SetTraining(true);
 
     for (int64_t in_epoch = 0;; ++in_epoch) {
-      WallTimer wait_timer;
-      std::optional<Item> next = prefetcher.Next();
-      if (!next) break;
+      const size_t begin = static_cast<size_t>(in_epoch) * batch_size;
+      if (streaming ? step_ >= max_steps_ : begin >= epoch_size) break;
+      WallTimer produce_timer;
+      Batch batch = produce(begin);
       obs::GetHistogram("stream.stall_us")
-          .Record(static_cast<uint64_t>(wait_timer.Seconds() * 1e6));
-      ROTOM_CHECK_MSG(next->error.empty(), next->error.c_str());
+          .Record(static_cast<uint64_t>(produce_timer.Seconds() * 1e6));
       const StepInfo info = streaming ? StepInfo{step_ / valid_every_, step_}
                                       : StepInfo{epoch, in_epoch};
       Rng stream_rng(SplitSeed(step_salt_, static_cast<uint64_t>(step_)));
       obs::RunLogStep record;
       const float loss =
-          hooks.step(std::move(next->batch),
-                     streaming ? stream_rng : *context_.rng, info,
-                     runlog_ != nullptr ? &record : nullptr);
+          hooks.step(std::move(batch), streaming ? stream_rng : *context_.rng,
+                     info, runlog_ != nullptr ? &record : nullptr);
       RecordStep(loss, info.round, record);
-      consumed_ = std::move(next->state);
       ++step_;
       if (streaming && (step_ % valid_every_ == 0 || step_ == max_steps_)) {
         end_round((step_ - 1) / valid_every_);

@@ -85,7 +85,7 @@ EdtProfile BeersProfile(Rng& rng) {
     return Pick(BreweryWords(), r) + " brewing";
   }, rng);
   pools->abvs = MakePool(20, [](Rng& r) {
-    char abv[16];
+    char abv[48];  // room for two full-width long longs
     std::snprintf(abv, sizeof(abv), "%lld.%lld",
                   static_cast<long long>(4 + r.UniformInt(6)),
                   static_cast<long long>(r.UniformInt(10)));
@@ -259,7 +259,7 @@ EdtProfile TaxProfile(Rng& rng) {
     return std::to_string((20 + r.UniformInt(180)) * 1000);
   }, rng);
   pools->rates = MakePool(20, [](Rng& r) {
-    char rate[16];
+    char rate[32];  // room for a full-width long long
     std::snprintf(rate, sizeof(rate), "0.%02lld",
                   static_cast<long long>(10 + r.UniformInt(30)));
     return std::string(rate);
@@ -278,7 +278,7 @@ EdtProfile TaxProfile(Rng& rng) {
   p.corrupt = [](const std::string& attr, const std::string& value, Rng& r) {
     if (attr == "rate") {
       // Rates above 1.0 violate the domain constraint.
-      char bad[16];
+      char bad[48];  // room for two full-width long longs
       std::snprintf(bad, sizeof(bad), "%lld.%02lld",
                     static_cast<long long>(1 + r.UniformInt(8)),
                     static_cast<long long>(r.UniformInt(100)));

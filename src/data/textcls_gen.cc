@@ -101,7 +101,8 @@ std::string MakeNewsHeadline(int64_t cls, Rng& rng) {
     return Pick(NewsBank(cls), r);
   };
   std::string out = Pick(LastNames(), rng);
-  out += " " + sample_word(rng);
+  out += ' ';
+  out += sample_word(rng);
   out += rng.Bernoulli(0.5) ? " rises after " : " falls amid ";
   out += sample_word(rng);
   out += " in " + Pick(Cities(), rng);

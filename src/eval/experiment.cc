@@ -131,7 +131,7 @@ void TaskContext::EnsurePretrained() {
   models::TransformerClassifier model(options_.classifier, vocab_, rng);
   std::vector<std::string> corpus = dataset_.unlabeled;
   for (const auto& e : dataset_.train) corpus.push_back(e.text);
-  // One pipeline config (cache/prefetch/runlog_dir) drives every stage.
+  // One pipeline config (cache/runlog_dir) drives every stage.
   models::PretrainOptions pretrain = options_.pretrain;
   pretrain.pipeline = options_.pipeline;
   models::PretrainMaskedLm(model, corpus, rng, pretrain);

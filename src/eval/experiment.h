@@ -40,9 +40,9 @@ struct ExperimentOptions {
   int64_t meta_update_every = 1;
   double ssl_batch_ratio = 1.0;
 
-  /// Data-path configuration forwarded to every trainer (encoding cache +
-  /// background prefetch). Defaults keep the pipeline on; benches switch it
-  /// off to measure the serial path.
+  /// Data-path configuration forwarded to every trainer (encoding cache,
+  /// run log, operator set, streaming). Defaults keep the cache on; benches
+  /// switch it off to measure the uncached path.
   core::PipelineOptions pipeline;
 
   /// The fixed single operator MixDA applies per task family (the paper

@@ -30,7 +30,7 @@ struct InvDaOptions {
   int64_t augments_per_example = 4;
 
   /// Only runlog_dir is consumed here (the seq2seq loop has no encoding
-  /// cache/prefetch stage); carried as PipelineOptions so
+  /// cache stage); carried as PipelineOptions so
   /// eval::ExperimentOptions forwards one pipeline config to every trainer.
   core::PipelineOptions pipeline;
 };

@@ -35,7 +35,8 @@ class TransformerClassifier : public nn::Module {
                         Rng& rng);
 
   /// Logits [B, num_classes] for an already-encoded batch (the pipelined
-  /// path: encoding happened on a prefetch thread or came from the cache).
+  /// path: the batch was encoded with its batch assembly or came from the
+  /// cache).
   /// There is deliberately no raw-text logits overload: encode once with
   /// text::EncodeBatchForClassifier (or through text::EncodingCache) so
   /// tokenization is paid once per distinct text. The supported raw-text

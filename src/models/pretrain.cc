@@ -9,7 +9,6 @@
 #include "obs/runlog.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/prefetcher.h"
 
 namespace rotom {
 namespace models {
@@ -39,9 +38,6 @@ float PretrainMaskedLm(TransformerClassifier& model,
   for (auto& p : mlm_head.Parameters()) params.push_back(p);
   nn::Adam optimizer(params, options.lr);
 
-  // Encoding consumes no randomness, so prefetching encoded batches leaves
-  // the masking rng sequence — and therefore the loss trajectory — exactly
-  // as the serial loop produces it.
   const auto cache = core::MakeEncodingCache(options.pipeline, &vocab,
                                              max_len);
 
@@ -63,19 +59,12 @@ float PretrainMaskedLm(TransformerClassifier& model,
   for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
     rng.Shuffle(texts);
     const size_t batch_size = static_cast<size_t>(options.batch_size);
-    const size_t num_batches = (texts.size() + batch_size - 1) / batch_size;
-    auto produce = [&](size_t bi) -> text::EncodedBatch {
-      const size_t begin = bi * batch_size;
+    for (size_t begin = 0; begin < texts.size(); begin += batch_size) {
+      if (options.max_steps >= 0 && steps >= options.max_steps) break;
       const size_t end = std::min(begin + batch_size, texts.size());
-      return text::AssembleEncodedBatch(
+      text::EncodedBatch batch = text::AssembleEncodedBatch(
           *cache, std::vector<std::string>(texts.begin() + begin,
                                            texts.begin() + end));
-    };
-    Prefetcher<text::EncodedBatch> prefetcher(produce, num_batches,
-                                              options.pipeline.prefetch);
-    while (auto next = prefetcher.Next()) {
-      if (options.max_steps >= 0 && steps >= options.max_steps) break;
-      text::EncodedBatch batch = std::move(*next);
 
       // Select maskable positions and corrupt inputs in place.
       std::vector<int64_t> positions;  // flat indices into [B*T]
@@ -201,17 +190,13 @@ float PretrainSameOrigin(TransformerClassifier& model,
     runlog->WriteManifest(manifest);
   }
 
-  // Pair construction for step s runs under its own Rng stream split from
-  // one base seed, so batches can be built (and encoded) on the prefetch
-  // thread ahead of the optimizer without changing what any step sees.
+  // Pair construction for step s draws from its own Rng stream, split from
+  // one base seed, apart from the Rng the model's dropout draws from.
   const uint64_t pair_seed = rng.Next64();
-  struct PairBatch {
-    std::vector<int64_t> labels;
-    text::EncodedBatch batch;
-  };
-  auto produce = [&](size_t step) -> PairBatch {
+  float last_loss = 0.0f;
+  for (int64_t step = 0; step < options.steps; ++step) {
     Rng pair_rng(SplitSeed(pair_seed, static_cast<uint64_t>(step)));
-    PairBatch out;
+    std::vector<int64_t> labels;
     std::vector<std::string> texts;
     for (int64_t b = 0; b < options.batch_size; ++b) {
       const std::string& left = records[pair_rng.UniformInt(n)];
@@ -230,30 +215,19 @@ float PretrainSameOrigin(TransformerClassifier& model,
         label = 0;
       }
       texts.push_back(left + " [SEP] " + right);
-      out.labels.push_back(label);
+      labels.push_back(label);
     }
-    out.batch = text::AssembleEncodedBatch(*cache, texts);
-    return out;
-  };
-  Prefetcher<PairBatch> prefetcher(produce,
-                                   static_cast<size_t>(options.steps),
-                                   options.pipeline.prefetch);
-
-  float last_loss = 0.0f;
-  int64_t steps = 0;
-  while (auto next = prefetcher.Next()) {
-    PairBatch pairs = std::move(*next);
+    const text::EncodedBatch batch = text::AssembleEncodedBatch(*cache, texts);
     optimizer.ZeroGrad();
     Variable loss = ops::CrossEntropyMean(
-        model.ForwardLogitsEncoded(pairs.batch, rng), pairs.labels);
+        model.ForwardLogitsEncoded(batch, rng), labels);
     loss.Backward();
     const float grad_norm = nn::ClipGradNorm(optimizer.params(), 5.0f);
     optimizer.Step();
     last_loss = loss.value()[0];
-    ++steps;
     if (runlog) {
       obs::RunLogStep record;
-      record.step = steps;
+      record.step = step + 1;
       record.loss = static_cast<double>(last_loss);
       record.lr = static_cast<double>(options.lr);
       record.grad_norm = static_cast<double>(grad_norm);

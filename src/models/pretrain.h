@@ -21,7 +21,7 @@ struct PretrainOptions {
   float mask_prob = 0.15f;   // fraction of content tokens selected
   int64_t max_steps = -1;    // cap on optimizer steps; -1 = unlimited
   int64_t max_corpus = 512;  // subsample large corpora for speed
-  core::PipelineOptions pipeline;  // batch encoding runs on the prefetcher
+  core::PipelineOptions pipeline;  // encoding cache and run log
 };
 
 /// Runs masked-token pre-training of the classifier's encoder in place.
@@ -46,7 +46,7 @@ struct SameOriginOptions {
   int64_t steps = 300;
   int64_t batch_size = 16;
   float lr = 1e-3f;
-  core::PipelineOptions pipeline;  // pair construction runs on the prefetcher
+  core::PipelineOptions pipeline;  // encoding cache and run log
   /// Operators that produce the positive "formatting-style view"
   /// (augment::OperatorRegistry spec). Restricted by design to edits that
   /// drop or reorder information without replacing content tokens; the

@@ -48,7 +48,7 @@ double MonotonicSeconds() {
 // Rendering and crash-fd helpers live in obs::internal (declared in
 // runlog.h) so obs/servelog.cc and obs/exposition.cc share them; the
 // unqualified names below keep this file reading as before.
-using internal::JsonEscaped;
+using internal::JsonQuoted;
 using internal::RegisterCrashFd;
 using internal::RenderDouble;
 using internal::UnregisterCrashFd;
@@ -67,7 +67,7 @@ class RunLogLine {
   }
 
   RunLogLine& Add(std::string_view key, std::string_view value) {
-    return Raw(key, "\"" + JsonEscaped(value) + "\"");
+    return Raw(key, JsonQuoted(value));
   }
   RunLogLine& Add(std::string_view key, int64_t value) {
     return Raw(key, std::to_string(value));
@@ -142,9 +142,9 @@ void CrashHandler(int signo) {
 
 namespace internal {
 
-std::string JsonEscaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+std::string JsonQuoted(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -161,6 +161,7 @@ std::string JsonEscaped(std::string_view s) {
         }
     }
   }
+  out += '"';
   return out;
 }
 
@@ -226,8 +227,7 @@ void InstallCrashHandlers() {
 
 RunLogManifest& RunLogManifest::Set(std::string_view key,
                                     std::string_view value) {
-  fields_.emplace_back(std::string(key),
-                       "\"" + JsonEscaped(value) + "\"");
+  fields_.emplace_back(std::string(key), JsonQuoted(value));
   return *this;
 }
 

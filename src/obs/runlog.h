@@ -26,7 +26,7 @@
 // Determinism. Step and epoch events are pure functions of the training
 // trajectory: no wall-clock, no thread ids, map-ordered operator counts.
 // Under the core/pipeline.h contract the step/epoch event stream is
-// therefore bit-identical across thread counts and cache/prefetch
+// therefore bit-identical across thread counts and cache
 // configurations (enforced by pipeline_determinism_test). Wall-clock and
 // environment-dependent values are confined to the `manifest` and `end`
 // events.
@@ -178,9 +178,9 @@ void WriteAll(int fd, const char* data, size_t size);
 void RegisterCrashFd(int fd);
 void UnregisterCrashFd(int fd);
 
-/// JSON string escaping and %.17g double rendering shared by the JSONL
-/// event writers (runlog, servelog).
-std::string JsonEscaped(std::string_view s);
+/// JSON string quoting (with escapes) and %.17g double rendering shared by
+/// the JSON writers (runlog, servelog, the bench JsonWriter).
+std::string JsonQuoted(std::string_view s);
 std::string RenderDouble(double value);
 
 }  // namespace internal

@@ -43,7 +43,7 @@ class ServeLogLine {
   }
 
   ServeLogLine& Add(std::string_view key, std::string_view value) {
-    return Raw(key, "\"" + internal::JsonEscaped(value) + "\"");
+    return Raw(key, internal::JsonQuoted(value));
   }
   ServeLogLine& Add(std::string_view key, int64_t value) {
     return Raw(key, std::to_string(value));

@@ -1,10 +1,13 @@
 #include "rotom/api.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/rotom_trainer.h"
 #include "core/train_checkpoint.h"
+#include "core/train_loop.h"
 
 namespace rotom {
 namespace api {
@@ -44,6 +47,28 @@ Status ValidateDataset(const data::TaskDataset& dataset, bool streaming) {
   return Status::Ok();
 }
 
+// Checks that a resume checkpoint fits the run before it starts: its
+// trainer state against a model built like the run's, and its stream state
+// against the stream, which this fast-forwards to it (the trainer's own
+// replay then finds the stream already there).
+Status CheckResume(const core::TrainCheckpoint& ckpt,
+                   const eval::TaskContext& context, eval::Method method) {
+  const eval::ExperimentOptions& options = context.options();
+  Rng rng(0);  // the model is built for its shapes only
+  const models::TransformerClassifier model(options.classifier,
+                                            context.vocab_ptr(), rng);
+  const int64_t max_steps = options.pipeline.streaming.max_steps;
+  const bool rotom =
+      method == eval::Method::kRotom || method == eval::Method::kRotomSsl;
+  const Status fits =
+      rotom ? core::RotomTrainer::CheckResumeCheckpoint(ckpt, model, max_steps)
+            : core::CheckResumeCheckpoint(ckpt, model, max_steps);
+  if (!fits.ok()) return fits;
+  return stream::RestoreByReplay(
+      *options.pipeline.streaming.source,
+      stream::StreamState::Parse(ckpt.GetScalar("stream").value()).value());
+}
+
 }  // namespace
 
 StatusOr<TrainReport> Train(const TrainSpec& spec) {
@@ -63,6 +88,7 @@ StatusOr<TrainReport> Train(const TrainSpec& spec) {
   }
 
   eval::ExperimentOptions options = spec.options;
+  std::optional<core::TrainCheckpoint> resume;
   if (streaming) {
     const data::DataSource::StreamSpec& stream_spec =
         opened.value().stream_spec;
@@ -73,14 +99,20 @@ StatusOr<TrainReport> Train(const TrainSpec& spec) {
     streaming_options.checkpoint_path = stream_spec.checkpoint_path;
     streaming_options.resume_from = stream_spec.resume_from;
     // The checkpoint is the caller's input: a missing, truncated or corrupt
-    // file is reported here instead of aborting inside the trainer.
+    // file, or one that does not fit this run, is reported here instead of
+    // aborting inside the trainer.
     if (!stream_spec.resume_from.empty()) {
       auto checkpoint = core::TrainCheckpoint::Load(stream_spec.resume_from);
       if (!checkpoint.ok()) return checkpoint.status();
+      resume = std::move(checkpoint).value();
     }
   }
 
   eval::TaskContext context(std::move(dataset), std::move(options));
+  if (resume) {
+    if (Status s = CheckResume(*resume, context, spec.method); !s.ok())
+      return s;
+  }
   std::unique_ptr<models::TransformerClassifier> model;
   TrainReport report;
   report.metrics = context.Run(spec.method, spec.seed, &model);

@@ -95,8 +95,10 @@ struct TrainReport {
 /// packages the result. Returns an error Status for unusable specs — unset
 /// data source, unreadable path, empty mixture, non-positive
 /// mixture weight, a stream without a step budget, a missing, truncated or
-/// corrupt `stream.resume_from` checkpoint, empty train set, fewer than two
-/// classes, labels outside [0, num_classes) — instead of
+/// corrupt `stream.resume_from` checkpoint or one that does not fit the run
+/// (missing trainer state, tensors shaped for another model, a stream state
+/// the source does not replay to), empty train set, fewer than two classes,
+/// labels outside [0, num_classes) — instead of
 /// CHECK-aborting deep in the trainer. An empty valid set falls back to
 /// validating on train (the paper's labeling-budget-saving setup for
 /// EM/EDT).

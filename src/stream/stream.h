@@ -57,8 +57,8 @@ class StreamState {
 /// derives every random decision as Rng(SplitSeed(stage_seed, draws_))
 /// from a per-stage draw counter, rather than consuming a caller-threaded
 /// Rng. That makes the example sequence a pure function of (pipeline spec,
-/// seeds) — independent of which thread pulls, how far a prefetcher runs
-/// ahead, or what other stages draw — and makes the complete stream state
+/// seeds) — independent of which thread pulls, when it pulls, or what
+/// other stages draw — and makes the complete stream state
 /// a handful of integer counters.
 ///
 /// Next() never returns "end of stream": sources wrap around (CsvFileSource
@@ -117,8 +117,8 @@ class VectorSource : public ExampleStream {
 /// Weighted interleave of multiple streams: each Next() picks a child with
 /// probability proportional to its weight, via Rng(SplitSeed(seed, draws))
 /// so draw i's source choice is independent of draws j != i. SOTASTREAM's
-/// mixer, minus the worker sharding (parallelism lives in the prefetcher
-/// above this layer).
+/// mixer, minus the worker sharding (the trainers fan each batch's
+/// augmentation out over the compute pool above this layer).
 class Mix : public ExampleStream {
  public:
   /// Validates the mixture: errors on an empty child list, a

@@ -24,8 +24,8 @@ namespace text {
 /// EM pairs all become O(1) lookups after the first encounter.
 ///
 /// Each shard is an independent LRU (mutex + intrusive list + hash map), so
-/// concurrent encoders from the prefetcher contend only 1/kShards of the
-/// time. A `capacity_rows` of 0 disables memoization entirely — Encode()
+/// concurrent encoders on compute-pool workers contend only 1/kShards of
+/// the time. A `capacity_rows` of 0 disables memoization entirely — Encode()
 /// computes and returns without storing anything (counting the call as a
 /// miss) — which gives the
 /// cache-off configuration the exact same call path as cache-on (required by

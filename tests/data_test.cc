@@ -20,7 +20,10 @@ using data::TextClsOptions;
 
 TEST(DatasetHelpersTest, SampleExamplesSizeAndMembership) {
   std::vector<Example> pool;
-  for (int i = 0; i < 50; ++i) pool.push_back({"t" + std::to_string(i), i % 2});
+  for (int i = 0; i < 50; ++i) {
+    pool.push_back({"t", i % 2});
+    pool.back().text += std::to_string(i);
+  }
   Rng rng(1);
   auto sample = data::SampleExamples(pool, 10, rng);
   EXPECT_EQ(sample.size(), 10u);

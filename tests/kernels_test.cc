@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -345,8 +346,12 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{37, 71, 29},    // ragged overhangs
                       GemmShape{64, 33, 130}),  // tails in every loop
     [](const ::testing::TestParamInfo<GemmShape>& info) {
-      return "m" + std::to_string(info.param.m) + "k" +
-             std::to_string(info.param.k) + "n" + std::to_string(info.param.n);
+      char name[80];
+      std::snprintf(name, sizeof(name), "m%lldk%lldn%lld",
+                    static_cast<long long>(info.param.m),
+                    static_cast<long long>(info.param.k),
+                    static_cast<long long>(info.param.n));
+      return std::string(name);
     });
 
 TEST(KernelFlavorNameTest, ReportsABuiltInFlavor) {

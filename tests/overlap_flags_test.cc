@@ -43,7 +43,9 @@ TEST(OverlapFlagsTest, SpecialTokensNeverFlagged) {
       v, {"[COL] name [VAL] google [SEP] [COL] name [VAL] google"}, 16);
   auto flags = text::ComputeOverlapFlags(batch.ids, 1, 16);
   for (size_t i = 0; i < batch.ids.size(); ++i) {
-    if (Vocabulary::IsSpecial(batch.ids[i])) EXPECT_EQ(flags[i], 0) << i;
+    if (Vocabulary::IsSpecial(batch.ids[i])) {
+      EXPECT_EQ(flags[i], 0) << i;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Trainer-level determinism of the pipelined data path: the encoding cache,
-// the background prefetcher, and the compute-pool size are pure performance
-// knobs, so every configuration must produce bit-identical loss trajectories
-// (core/pipeline.h contract; DESIGN.md §8). These tests train the real
+// Trainer-level determinism of the data path: the encoding cache and the
+// compute-pool size are pure performance knobs, so every configuration must
+// produce bit-identical loss trajectories (core/pipeline.h contract;
+// DESIGN.md §8). These tests train the real
 // trainers on a tiny task under each configuration and compare
 // TrainResult::loss_history float-for-float. scripts/check.sh additionally
 // runs this binary under TSan at several pool sizes.
@@ -84,20 +84,16 @@ struct PipelineConfig {
   int threads;
 };
 
-// The serial reference (no cache, inline production, 1 pool thread) plus
-// every knob flipped individually and all together.
+// The serial reference (no cache, 1 pool thread) plus the cache alone and
+// the defaults at 1 and 4 pool threads.
 std::vector<PipelineConfig> AllConfigs() {
   core::PipelineOptions off;
   off.cache_rows = 0;
-  off.prefetch = false;
   core::PipelineOptions cache_only = off;
   cache_only.cache_rows = 1 << 12;
-  core::PipelineOptions prefetch_only = off;
-  prefetch_only.prefetch = true;
-  core::PipelineOptions full;  // defaults: cache + prefetch
+  core::PipelineOptions full;  // defaults
   return {{"serial/1t", off, 1},
           {"cache/1t", cache_only, 1},
-          {"prefetch/1t", prefetch_only, 1},
           {"full/1t", full, 1},
           {"full/4t", full, 4}};
 }
@@ -199,10 +195,10 @@ TEST(PipelineDeterminismTest, RotomSslIsConfigInvariant) {
   // SSL adds the unlabeled-pool scoring path (cache-assembled batches);
   // spot-check the serial reference against the full pipeline at 1 and 4
   // threads to bound runtime.
+  ExpectIdentical(reference, RunRotom(configs[2], /*use_ssl=*/true),
+                  configs[2].label);
   ExpectIdentical(reference, RunRotom(configs[3], /*use_ssl=*/true),
                   configs[3].label);
-  ExpectIdentical(reference, RunRotom(configs[4], /*use_ssl=*/true),
-                  configs[4].label);
 }
 
 TEST(PipelineDeterminismTest, InstrumentationIsResultInvariant) {
@@ -215,14 +211,14 @@ TEST(PipelineDeterminismTest, InstrumentationIsResultInvariant) {
   const std::string was_path = obs::TracePath();
 
   obs::SetEnabled(false);
-  const auto reference = RunRotom(configs[4], /*use_ssl=*/true);
+  const auto reference = RunRotom(configs[3], /*use_ssl=*/true);
   ASSERT_FALSE(reference.loss_history.empty());
 
   obs::SetEnabled(true);
   const std::string trace_path =
       testing::TempDir() + "/rotom_determinism_trace.json";
   obs::SetTracePath(trace_path);
-  const auto instrumented = RunRotom(configs[4], /*use_ssl=*/true);
+  const auto instrumented = RunRotom(configs[3], /*use_ssl=*/true);
 
   obs::SetTracePath(was_path);
   obs::SetEnabled(was_enabled);
@@ -235,7 +231,7 @@ TEST(PipelineDeterminismTest, InstrumentationIsResultInvariant) {
 TEST(PipelineDeterminismTest, RunLogStreamIsConfigInvariant) {
   // The flight recorder's step/epoch events must be pure functions of the
   // training trajectory (obs/runlog.h determinism contract): byte-identical
-  // across thread counts and cache/prefetch settings. Manifest and end
+  // across thread counts and cache settings. Manifest and end
   // events are excluded — they intentionally carry wall-clock time and the
   // thread configuration.
   auto trajectory = [](const std::string& path) {

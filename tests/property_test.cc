@@ -64,7 +64,9 @@ TEST_P(DaOpPropertyTest, StructuralInvariants) {
         EXPECT_EQ(count(out, "[VAL]"), count(tokens, "[VAL]")) << name;
       } else {
         EXPECT_EQ(count(out, "[COL]"), count(out, "[VAL]"));
-        if (count(tokens, "[COL]") > 0) EXPECT_GE(count(out, "[COL]"), 1);
+        if (count(tokens, "[COL]") > 0) {
+          EXPECT_GE(count(out, "[COL]"), 1);
+        }
       }
       // Size changes are bounded by the operator's contract. Operators
       // without an entry here must preserve the token count exactly.

@@ -2,8 +2,8 @@
 // integration: stage determinism (every random decision derived from
 // per-stage split seeds + draw counters), checkpointable stream state with
 // restore-by-replay, the DataSource factory, and the two headline
-// trainer-level guarantees — batch sequences bit-identical across prefetch
-// thread counts, and kill-and-resume from a TrainCheckpoint reproducing the
+// trainer-level guarantees — batch sequences bit-identical across compute
+// pool sizes, and kill-and-resume from a TrainCheckpoint reproducing the
 // uninterrupted loss trajectory float-for-float. scripts/check.sh
 // additionally runs this binary under TSan at several pool sizes.
 
@@ -21,7 +21,6 @@
 #include "data/loader.h"
 #include "data/source.h"
 #include "rotom/api.h"
-#include "stream/augment_stage.h"
 #include "stream/csv_source.h"
 #include "stream/stream.h"
 #include "text/tokenizer.h"
@@ -275,36 +274,6 @@ TEST(ShuffleBufferTest, CapacityOneIsPassThrough) {
   }
 }
 
-// -------------------------------------------------------------- augment --
-
-TEST(AugmentStageTest, DeterministicPerDrawAndReplayable) {
-  auto build = [] {
-    return stream::AugmentStage(
-        std::make_unique<stream::VectorSource>("v", PosExamples()),
-        DuplicateToken, /*seed=*/33);
-  };
-  auto a = build();
-  auto b = build();
-  std::vector<std::string> first_pass;
-  const size_t n = PosExamples().size();
-  for (size_t i = 0; i < 2 * n; ++i) {
-    auto ea = a.Next();
-    auto eb = b.Next();
-    ASSERT_TRUE(ea.ok());
-    ASSERT_EQ(ea.value().text, eb.value().text);  // same seed, same augments
-    EXPECT_EQ(ea.value().label, PosExamples()[i % n].label);
-    if (i < n) {
-      first_pass.push_back(ea.value().text);
-    } else {
-      // Second pass over the same source example draws a fresh augmentation
-      // (draw-counter-keyed RNG), not a repeat of pass one — SOTASTREAM's
-      // on-the-fly property. At least one of the six must differ.
-      if (ea.value().text != first_pass[i % n]) return;
-    }
-  }
-  FAIL() << "second pass repeated every first-pass augmentation";
-}
-
 // ----------------------------------------------------- capture / replay --
 
 TEST(RestoreByReplayTest, ResumesExactSequence) {
@@ -361,8 +330,7 @@ TEST(RestoreByReplayTest, RejectsSpecDriftAndUsedPipelines) {
 
 // ----------------------------------------------- trainer: thread counts --
 
-core::TrainResult RunStreamFinetune(int threads, bool prefetch,
-                                    int64_t max_steps = 9,
+core::TrainResult RunStreamFinetune(int threads, int64_t max_steps = 9,
                                     const std::string& checkpoint = "",
                                     const std::string& resume = "") {
   ThreadGuard guard(threads);
@@ -373,7 +341,6 @@ core::TrainResult RunStreamFinetune(int threads, bool prefetch,
   options.batch_size = 4;
   options.aug_mode = core::AugMode::kReplace;
   options.seed = 5;
-  options.pipeline.prefetch = prefetch;
   options.pipeline.streaming.source = MixOfTwoStream();
   options.pipeline.streaming.max_steps = max_steps;
   options.pipeline.streaming.valid_every = 3;
@@ -383,8 +350,7 @@ core::TrainResult RunStreamFinetune(int threads, bool prefetch,
   return trainer.Train(TinyTask(), DuplicateToken);
 }
 
-core::TrainResult RunStreamRotom(int threads, bool prefetch,
-                                 int64_t max_steps = 8,
+core::TrainResult RunStreamRotom(int threads, int64_t max_steps = 8,
                                  const std::string& checkpoint = "",
                                  const std::string& resume = "") {
   ThreadGuard guard(threads);
@@ -395,7 +361,6 @@ core::TrainResult RunStreamRotom(int threads, bool prefetch,
   options.batch_size = 6;
   options.augments_per_example = 2;
   options.seed = 5;
-  options.pipeline.prefetch = prefetch;
   options.pipeline.streaming.source = MixOfTwoStream();
   options.pipeline.streaming.max_steps = max_steps;
   options.pipeline.streaming.valid_every = 4;
@@ -414,8 +379,8 @@ void ExpectIdentical(const core::TrainResult& reference,
   ASSERT_EQ(reference.loss_history.size(), candidate.loss_history.size())
       << label;
   for (size_t i = 0; i < reference.loss_history.size(); ++i) {
-    // Bit-identical, not approximately equal: prefetching and thread
-    // count must not touch the trajectory at all.
+    // Bit-identical, not approximately equal: the thread count must not
+    // touch the trajectory at all.
     ASSERT_EQ(reference.loss_history[i], candidate.loss_history[i])
         << label << " diverged at step " << i;
   }
@@ -423,31 +388,29 @@ void ExpectIdentical(const core::TrainResult& reference,
 }
 
 TEST(StreamingTrainerTest, FinetuneBatchSequenceIsThreadCountInvariant) {
-  const auto reference = RunStreamFinetune(/*threads=*/1, /*prefetch=*/false);
+  const auto reference = RunStreamFinetune(/*threads=*/1);
   EXPECT_EQ(reference.steps, 9);
-  ExpectIdentical(reference, RunStreamFinetune(1, true), "prefetch/1t");
-  ExpectIdentical(reference, RunStreamFinetune(4, true), "prefetch/4t");
+  ExpectIdentical(reference, RunStreamFinetune(4), "4t");
 }
 
 TEST(StreamingTrainerTest, RotomBatchSequenceIsThreadCountInvariant) {
-  const auto reference = RunStreamRotom(/*threads=*/1, /*prefetch=*/false);
+  const auto reference = RunStreamRotom(/*threads=*/1);
   EXPECT_EQ(reference.steps, 8);
   ASSERT_FALSE(reference.loss_history.empty());
-  ExpectIdentical(reference, RunStreamRotom(1, true), "prefetch/1t");
-  ExpectIdentical(reference, RunStreamRotom(4, true), "prefetch/4t");
+  ExpectIdentical(reference, RunStreamRotom(4), "4t");
 }
 
 // -------------------------------------------- trainer: kill-and-resume --
 
 TEST(StreamingTrainerTest, FinetuneResumeReproducesUninterruptedRun) {
-  const auto uninterrupted = RunStreamFinetune(2, true, /*max_steps=*/9);
+  const auto uninterrupted = RunStreamFinetune(2, /*max_steps=*/9);
 
   // "Kill" after 3 steps: the round boundary at step 3 wrote a checkpoint.
   const std::string ckpt = TempPath("finetune_resume.ckpt");
-  const auto before = RunStreamFinetune(2, true, /*max_steps=*/3, ckpt);
+  const auto before = RunStreamFinetune(2, /*max_steps=*/3, ckpt);
   ASSERT_EQ(before.steps, 3);
   // Resume with a fresh model and a freshly built same-spec pipeline.
-  const auto after = RunStreamFinetune(2, true, /*max_steps=*/9, "", ckpt);
+  const auto after = RunStreamFinetune(2, /*max_steps=*/9, "", ckpt);
   ASSERT_EQ(after.steps, 6);
 
   std::vector<float> stitched = before.loss_history;
@@ -462,12 +425,12 @@ TEST(StreamingTrainerTest, FinetuneResumeReproducesUninterruptedRun) {
 }
 
 TEST(StreamingTrainerTest, RotomResumeReproducesUninterruptedRun) {
-  const auto uninterrupted = RunStreamRotom(2, true, /*max_steps=*/8);
+  const auto uninterrupted = RunStreamRotom(2, /*max_steps=*/8);
 
   const std::string ckpt = TempPath("rotom_resume.ckpt");
-  const auto before = RunStreamRotom(2, true, /*max_steps=*/4, ckpt);
+  const auto before = RunStreamRotom(2, /*max_steps=*/4, ckpt);
   ASSERT_EQ(before.steps, 4);
-  const auto after = RunStreamRotom(2, true, /*max_steps=*/8, "", ckpt);
+  const auto after = RunStreamRotom(2, /*max_steps=*/8, "", ckpt);
   ASSERT_EQ(after.steps, 4);
 
   std::vector<float> stitched = before.loss_history;
@@ -625,6 +588,52 @@ TEST(ApiTrainSpecTest, TruncatedResumeCheckpointIsAnError) {
   auto report = api::Train(ResumingStreamSpec(path));
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("truncated"), std::string::npos)
+      << report.status().message();
+}
+
+TEST(ApiTrainSpecTest, ResumeCheckpointWithoutTrainerStateIsAnError) {
+  // The file parses, but holds none of the state a run resumes from.
+  const std::string path = TempPath("api_resume_step_only.ckpt");
+  core::TrainCheckpoint ckpt;
+  ckpt.SetInt("step", 1);
+  ASSERT_TRUE(ckpt.Save(path).ok());
+  auto report = api::Train(ResumingStreamSpec(path));
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("not found"), std::string::npos)
+      << report.status().message();
+}
+
+TEST(ApiTrainSpecTest, ResumeCheckpointWithMisshapedTensorIsAnError) {
+  const std::string path = TempPath("api_resume_misshaped.ckpt");
+  std::remove(path.c_str());
+  api::TrainSpec spec = ResumingStreamSpec("");
+  spec.method = eval::Method::kBaseline;
+  spec.source.stream.checkpoint_path = path;
+  ASSERT_TRUE(api::Train(spec).ok());
+  auto written = core::TrainCheckpoint::Load(path);
+  ASSERT_TRUE(written.ok());
+
+  // The intact checkpoint resumes: two more steps on the same stream.
+  spec.source.stream.checkpoint_path.clear();
+  spec.source.stream.resume_from = path;
+  spec.source.stream.max_steps = 6;
+  auto resumed = api::Train(spec);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed.value().metrics.train_steps, 2);
+
+  // The same file with one tensor a row too long does not.
+  core::TrainCheckpoint ckpt = std::move(written).value();
+  bool reshaped = false;
+  for (auto& [name, tensor] : ckpt.tensors()) {
+    if (name != "model.encoder.token_emb.weight") continue;
+    tensor = Tensor({tensor.shape()[0] + 1, tensor.shape()[1]});
+    reshaped = true;
+  }
+  ASSERT_TRUE(reshaped);
+  ASSERT_TRUE(ckpt.Save(path).ok());
+  auto report = api::Train(spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("wrong shape"), std::string::npos)
       << report.status().message();
 }
 

@@ -71,7 +71,9 @@ TEST(ThreadPoolTest, ChunksRespectGrain) {
   for (const auto& [begin, end] : chunks) {
     covered += end - begin;
     // Every chunk but the ragged tail holds at least `grain` indices.
-    if (end != kTotal) EXPECT_GE(end - begin, kGrain);
+    if (end != kTotal) {
+      EXPECT_GE(end - begin, kGrain);
+    }
   }
   EXPECT_EQ(covered, kTotal);
 }

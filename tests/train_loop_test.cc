@@ -1,13 +1,17 @@
 // Contracts of the trainers' shared step loop (core/train_loop.h) that no
 // loss trajectory shows: the non-empty valid split it requires in both
-// modes, and what a streaming run records per step and per round — one
+// modes, what a streaming run records per step and per round — one
 // `stream.stall_us` sample per step, one checkpoint write and one run-log
-// `stream_state` event per validation round.
+// `stream_state` event per validation round — and that the stream source
+// augments each draw afresh.
 
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -161,6 +165,37 @@ TEST(TrainLoopTest, StreamRotomRecordsPerStepAndPerRound) {
       return std::vector<std::string>{DuplicateToken(s, r)};
     });
   });
+}
+
+TEST(TrainLoopTest, StreamSourceAugmentsEveryPassAfresh) {
+  // Augmentations are seeded by the global draw index, not by the example:
+  // a second pass over the same source example draws a fresh augmentation
+  // rather than a repeat of the first pass (SOTASTREAM's on-the-fly
+  // augmentation). The augmenter runs on compute-pool workers.
+  ThreadGuard guard(2);
+  std::mutex mu;
+  std::map<std::string, std::set<std::string>> seen;  // source -> augments
+  Rng rng(3);
+  models::TransformerClassifier model(TinyConfig(), TaskVocab(), rng);
+  core::FinetuneOptions options;
+  options.batch_size = 2;
+  options.aug_mode = core::AugMode::kReplace;
+  options.pipeline.streaming = StreamOptions("loop_redraw");
+  core::FinetuneTrainer trainer(&model, eval::MetricKind::kAccuracy, options);
+  const core::TrainResult result =
+      trainer.Train(TinyTask(), [&](const std::string& s, Rng& r) {
+        std::string augmented = DuplicateToken(s, r);
+        std::lock_guard<std::mutex> lock(mu);
+        seen[s].insert(augmented);
+        return augmented;
+      });
+  // 7 steps of 2 draws cycle 3.5 times over the 4 source examples.
+  ASSERT_EQ(result.steps, 7);
+  ASSERT_EQ(seen.size(), Examples().size());
+  for (const auto& [source, augmented] : seen) {
+    if (augmented.size() > 1) return;
+  }
+  FAIL() << "every pass repeated the first pass's augmentations";
 }
 
 }  // namespace
